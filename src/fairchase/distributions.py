@@ -3,21 +3,21 @@
 Three families model innings totals: a negative binomial evaluated through
 log-gamma (the primary count model), plus normal and logistic comparators
 fitted by moments. All evaluation functions are pure; fitted distributions
-are immutable values safe to share across threads.
+are immutable values safe to share across threads (the negative binomial
+caches its cumulative-mass table, which is replaced whole, never mutated).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import betainc, gammaln, logit, ndtr, ndtri
 
 from .errors import (
     DegenerateQuantileWarning,
@@ -28,6 +28,9 @@ from .errors import (
 )
 
 DEFAULT_QUANTILE_CAP = 2000
+
+_STANDARD_NORMAL = statistics.NormalDist()
+_SQRT2 = math.sqrt(2.0)
 
 
 class Family(str, Enum):
@@ -109,6 +112,11 @@ class FittedDist:
     sample_size: int = 0
     log_likelihood: float = 0.0
     degenerate: bool = False
+    #: Negative binomial only: cumulative mass at 0, 1, ..., len - 1, grown
+    #: on demand by _nb_cdf_table.
+    _cdf_table: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         expected = _PARAMS_BY_FAMILY[self.family]
@@ -165,10 +173,10 @@ def nb_logpmf(x: int, params: NegBinParams) -> float:
     """Log of the count pmf at x, evaluated through log-gamma for stability."""
     if x < 0:
         return -math.inf
-    return float(
-        gammaln(x + params.n)
-        - gammaln(params.n)
-        - gammaln(x + 1)
+    return (
+        math.lgamma(x + params.n)
+        - math.lgamma(params.n)
+        - math.lgamma(x + 1)
         + params.n * math.log(params.p)
         + x * math.log1p(-params.p)
     )
@@ -181,20 +189,62 @@ def nb_pmf(x: int, params: NegBinParams) -> float:
     return math.exp(nb_logpmf(x, params))
 
 
+#: Shortest cumulative-mass table; tables grow in powers of two from here.
+_MIN_TABLE = 512
+
+
+def _nb_cdf_table(dist: FittedDist, x: int) -> np.ndarray:
+    """The count model's cumulative-mass table, long enough to hold x or
+    settled for good.
+
+    Every length is computed from scratch (pmf terms from log-gamma, summed
+    in order and clipped at 1), so an entry never depends on which scores
+    were asked for first. Past the mode each pmf term is smaller than the
+    one before, so once a term leaves the sum unchanged every later one does
+    too: the table has settled, and every score beyond it reads its last
+    entry.
+    """
+    params = dist.params
+    decreasing_from = (params.n * (1.0 - params.p) - 1.0) / params.p
+
+    def settled(table: np.ndarray) -> bool:
+        return table.size - 2 > decreasing_from and table[-1] == table[-2]
+
+    table = dist._cdf_table
+    if table is not None and (x < table.size or settled(table)):
+        return table
+    length = _MIN_TABLE if table is None else 2 * table.size
+    log_base = params.n * math.log(params.p) - math.lgamma(params.n)
+    log_q = math.log1p(-params.p)
+    while True:
+        log_terms = [
+            math.lgamma(k + params.n) - math.lgamma(k + 1.0) + log_base + k * log_q
+            for k in range(length)
+        ]
+        table = np.minimum(np.cumsum(np.exp(log_terms)), 1.0)
+        if x < length or settled(table):
+            break
+        length *= 2
+    object.__setattr__(dist, "_cdf_table", table)  # one assignment: readers see old or new
+    return table
+
+
 def cdf(dist: FittedDist, x: int) -> float:
     """P(X <= x). Scores are non-negative, so any x < 0 returns 0.
 
-    The negative binomial uses the regularized incomplete beta, which equals
-    the partial pmf sum from 0 to x. The continuous families evaluate their
-    analytic CDF directly at integer x, with no continuity correction.
+    The negative binomial reads a cumulative-mass table held by the fitted
+    distribution: the pmf summed in order from 0 to x. The continuous
+    families evaluate their analytic CDF directly at integer x, with no
+    continuity correction.
     """
     if x < 0:
         return 0.0
     p = dist.params
     if isinstance(p, NegBinParams):
-        return float(betainc(p.n, x + 1, p.p))
+        table = _nb_cdf_table(dist, x)
+        return float(table[min(x, table.size - 1)])
     if isinstance(p, NormalParams):
-        return float(ndtr((x - p.mu) / p.sigma))
+        return 0.5 * math.erfc(-(x - p.mu) / p.sigma / _SQRT2)
     z = (x - p.mu) / p.s
     # logistic CDF, written to avoid overflow for large |z|
     if z >= 0:
@@ -244,10 +294,10 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
 
     p = dist.params
     if isinstance(p, NormalParams):
-        raw = p.mu + p.sigma * float(ndtri(q))
+        raw = p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q)
         return _clip_to_cap(math.ceil(raw), cap)
     if isinstance(p, LogisticParams):
-        raw = p.mu + p.s * float(logit(q))
+        raw = p.mu + p.s * (math.log(q) - math.log1p(-q))
         return _clip_to_cap(math.ceil(raw), cap)
 
     if cdf(dist, 0) >= q:
@@ -296,29 +346,93 @@ def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:
     return xs
 
 
-def _nb_profile_loglik(n: float, xs: np.ndarray, xbar: float) -> float:
-    # p profiled out at its conditional maximum p(n) = n / (n + mean)
-    p = n / (n + xbar)
-    size = xs.size
-    return float(
-        np.sum(gammaln(xs + n))
-        - size * gammaln(n)
-        - np.sum(gammaln(xs + 1))
-        + size * n * math.log(p)
-        + xs.sum() * math.log1p(-p)
-    )
+#: Largest score the count-model fit accepts: its tail-count arrays hold one
+#: entry per run up to the largest score.
+_MAX_COUNT_SCORE = 10_000_000
+
+#: Dispersions on the coarse log grid that fit_nb scans before refining.
+_GRID_POINTS = 64
+
+
+def _tail_counts(xs: np.ndarray) -> np.ndarray:
+    """A[j] = #{i : x_i > j} for j = 0 .. max(x) - 1."""
+    if xs.max() > _MAX_COUNT_SCORE:
+        raise InvalidParams(f"count-model scores above {_MAX_COUNT_SCORE} are not supported")
+    ints = xs.astype(np.int64)
+    if not np.array_equal(ints, xs):
+        raise InvalidParams("count-model scores must be integers")
+    return (xs.size - np.cumsum(np.bincount(ints))[:-1]).astype(float)
+
+
+def _nb_profile_loglik(n, tails: np.ndarray, size: int, xbar: float) -> np.ndarray:
+    """Log-likelihood at each dispersion in n, with p profiled out at n / (n + mean).
+
+    Sum_i log Gamma(x_i + n) / Gamma(n) telescopes into Sum_j A_j log(n + j)
+    (Bliss & Fisher 1953), and Sum_i log x_i! into Sum_j A_j log(j + 1).
+    Since Sum_j A_j = Sum_i x_i, each log(n + j) is taken relative to
+    n + mean, which keeps the large parts of the sum from cancelling.
+    """
+    n = np.asarray(n, dtype=float)
+    j = np.arange(tails.size, dtype=float)
+    spread = np.log1p((j - xbar) / (n[..., None] + xbar)) @ tails
+    return spread - tails @ np.log1p(j) - size * n * np.log1p(xbar / n) + size * xbar * math.log(xbar)
+
+
+def _nb_profile_score(n: float, tails: np.ndarray, size: int, xbar: float) -> float:
+    """Derivative in n of the profile log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
+    j = np.arange(tails.size, dtype=float)
+    return float(tails @ (1.0 / (n + j))) - size * math.log1p(xbar / n)
+
+
+def _nb_refine(lo: float, hi: float, tails: np.ndarray, size: int, xbar: float, tol: float) -> float:
+    """Profile-likelihood maximizer over [lo, hi], to tol in log(n).
+
+    On an overdispersed sample the score has a single root (Aragon, Eberly &
+    Eberly 1992), positive below it and negative above. Without a sign
+    change the maximum sits at the end the score points to; otherwise false
+    position on log(n) closes in on the root, with a bisection step whenever
+    a step fails to halve the bracket.
+    """
+
+    def score(t: float) -> float:
+        return _nb_profile_score(math.exp(t), tails, size, xbar)
+
+    lo, hi = math.log(lo), math.log(hi)
+    f_lo, f_hi = score(lo), score(hi)
+    if f_lo <= 0.0:
+        return math.exp(lo)
+    if f_hi >= 0.0:
+        return math.exp(hi)
+    bisect = False
+    while hi - lo > tol:
+        width = hi - lo
+        t = hi - f_hi * width / (f_hi - f_lo)
+        if bisect or not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f = score(t)
+        if f > 0.0:
+            lo, f_lo = t, f
+        elif f < 0.0:
+            hi, f_hi = t, f
+        else:
+            return math.exp(t)
+        bisect = hi - lo > 0.5 * width
+    return math.exp(0.5 * (lo + hi))
 
 
 def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
     """Maximum-likelihood negative binomial fit.
 
     p is profiled out analytically, which pins the fitted mean to the sample
-    mean; the dispersion n is then found by a one-dimensional search on
-    log(n) over [n_lower, n_upper]. A coarse log-grid scan runs first so that
-    a likelihood flat to tolerance resolves to the smallest (heaviest-tailed)
-    n before local refinement.
+    mean; the dispersion n is then found on log(n) over [n_lower, n_upper].
+    A coarse log-grid scan runs first so that a likelihood flat to tolerance
+    resolves to the smallest (heaviest-tailed) n; a root search on the
+    closed-form score then refines n between the grid neighbours. Scores
+    must be integers.
     """
     xs = _as_score_array(scores, config)
+    tails = _tail_counts(xs)
+    size = int(xs.size)
     xbar = float(xs.mean())
     var = float(xs.var(ddof=1))
 
@@ -330,32 +444,35 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
             )
         n = config.n_upper
         params = NegBinParams(n, n / (n + xbar))
-        ll = _nb_profile_loglik(n, xs, xbar)
-        return FittedDist(Family.NEGBIN, params, xs.size, ll, degenerate=True)
+        ll = float(_nb_profile_loglik(n, tails, size, xbar))
+        return FittedDist(Family.NEGBIN, params, size, ll, degenerate=True)
 
-    log_lo, log_hi = math.log(config.n_lower), math.log(config.n_upper)
-    grid = np.exp(np.linspace(log_lo, log_hi, 64))
-    values = np.array([_nb_profile_loglik(g, xs, xbar) for g in grid])
+    grid = np.exp(np.linspace(math.log(config.n_lower), math.log(config.n_upper), _GRID_POINTS))
+    # rows per product, so the grid-by-score matrix stays near 8 MB
+    step = max(1, (1 << 20) // max(1, tails.size))
+    values = np.concatenate(
+        [_nb_profile_loglik(grid[k : k + step], tails, size, xbar) for k in range(0, grid.size, step)]
+    )
     best = float(values.max())
     flat = values >= best - 1e-9 * max(1.0, abs(best))
     i = int(np.nonzero(flat)[0][0])  # smallest n among ties
 
-    bracket_lo = math.log(grid[max(i - 1, 0)])
-    bracket_hi = math.log(grid[min(i + 1, grid.size - 1)])
-    result = minimize_scalar(
-        lambda t: -_nb_profile_loglik(math.exp(t), xs, xbar),
-        bounds=(bracket_lo, bracket_hi),
-        method="bounded",
-        options={"xatol": config.rel_tol},
+    n_hat = _nb_refine(
+        float(grid[max(i - 1, 0)]),
+        float(grid[min(i + 1, grid.size - 1)]),
+        tails,
+        size,
+        xbar,
+        config.rel_tol,
     )
-    n_hat = math.exp(float(result.x))
-    if -float(result.fun) < best:
+    ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
+    if ll < best:
         n_hat = float(grid[i])
+        ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
-    ll = _nb_profile_loglik(n_hat, xs, xbar)
     degenerate = n_hat >= 0.999 * config.n_upper
-    return FittedDist(Family.NEGBIN, params, int(xs.size), ll, degenerate=degenerate)
+    return FittedDist(Family.NEGBIN, params, size, ll, degenerate=degenerate)
 
 
 def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:

@@ -145,6 +145,19 @@ class TestCdfSurvival:
             running = sum(nb_pmf(k, params) for k in range(x + 1))
             assert cdf(dist, x) == pytest.approx(running, abs=1e-12)
 
+    def test_nb_cdf_independent_of_query_order(self):
+        far_first = FittedDist.negbin(8.0, 0.04)
+        near_only = FittedDist.negbin(8.0, 0.04)
+        cdf(far_first, 1500)
+        for x in (0, 150, 192, 511, 512, 600):
+            assert cdf(far_first, x) == cdf(near_only, x)
+
+    def test_nb_cdf_far_tail_reads_settled_table(self):
+        dist = FittedDist.negbin(8.0, 0.04)
+        assert cdf(dist, 10**9) == cdf(dist, 5000)
+        assert cdf(dist, 10**9) == pytest.approx(1.0, abs=1e-12)
+        assert dist._cdf_table.size <= 4096
+
     def test_complement_identity_exact(self):
         dist = FittedDist.negbin(8.0, 0.04)
         for x in (0, 100, 192, 300, 550):
@@ -268,6 +281,22 @@ class TestFitNb:
         fitted = fit_nb([int(s) for s in scores])
         mom_ll = sum(nb_logpmf(int(s), mom) for s in scores)
         assert fitted.log_likelihood >= mom_ll - 1e-9
+
+    def test_refined_dispersion_maximizes_likelihood(self):
+        scores = seeded_nb_sample(6.0, 0.03, 600, seed=5)
+        fitted = fit_nb(scores)
+        direct = math.fsum(nb_logpmf(x, fitted.params) for x in scores)
+        assert fitted.log_likelihood == pytest.approx(direct, rel=1e-10)
+        mean = fitted.params.mean
+        for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+            n = fitted.params.n * factor
+            nearby = NegBinParams(n, n / (n + mean))
+            assert fitted.log_likelihood >= math.fsum(nb_logpmf(x, nearby) for x in scores)
+
+    def test_non_integer_scores_rejected(self):
+        scores = seeded_nb_sample(8.0, 0.04, 100)
+        with pytest.raises(InvalidParams):
+            fit_nb([s + 0.5 for s in scores])
 
     def test_constant_sample_underdispersed(self):
         with pytest.raises(UnderdispersedSample):
