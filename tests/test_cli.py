@@ -7,6 +7,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -360,6 +363,32 @@ class TestArgparseBehavior:
         assert "exit codes" in out
         for command in ("summary", "fit", "curves", "revise", "report", "simulate", "generate", "validate"):
             assert command in out
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports fairchase from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoints:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        proc = _run_python(
+            "-c",
+            "import sys, fairchase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_module_invocation_runs_the_command(self, data_csv):
+        proc = _run_python("-m", "fairchase.cli", "summary", "--data", data_csv)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("venue,total_matches,")
+        assert lines[-1].startswith("overall,240,")
 
 
 def _collect_option_strings(parser: argparse.ArgumentParser) -> set[str]:
