@@ -47,7 +47,9 @@ def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
     else:
         assert isinstance(params, LogisticParams)
         values = rng.logistic(params.mu, params.s, size=count)
-    return np.maximum(np.rint(values), 0.0).astype(np.int64)
+    # ceil(X) > t exactly when X > t, so the integer draws exceed a target
+    # with the probability survival() reports, 1 - F(t) at integer t
+    return np.maximum(np.ceil(values), 0.0).astype(np.int64)
 
 
 def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:

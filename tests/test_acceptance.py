@@ -197,13 +197,13 @@ def test_criterion_3_family_comparison():
             )
 
 
-def _synthetic_models() -> list[RevisionModel]:
-    """NB models for three synthetic venues plus the pooled entry."""
+def _synthetic_models(family: Family = Family.NEGBIN) -> list[RevisionModel]:
+    """Models of one family for three synthetic venues plus the pooled entry."""
     specs = default_synthetic_spec(num_venues=3, matches_per_venue=150)
     dataset = categorize(generate_synthetic_dataset(specs, seed=314))
     from fairchase import build_model, venue_names
 
-    return [build_model(dataset, name) for name in venue_names(dataset)]
+    return [build_model(dataset, name, family) for name in venue_names(dataset)]
 
 
 @criterion(4, "equalization identity within one pmf step at every grid target")
@@ -273,23 +273,30 @@ def test_criterion_7_normalization_and_monotonicity():
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), dist.family.value
 
 
-@criterion(8, "Monte Carlo agrees with analytic survivals at 1e6 trials; reruns bit-identical")
+@criterion(8, "Monte Carlo agrees with analytic survivals at 1e6 trials, every family; reruns bit-identical")
 def test_criterion_8_monte_carlo_consistency():
-    model = _synthetic_models()[-1]  # pooled venue, largest samples
-    config = SimConfig(model=model, actual_target=330, n_trials=1_000_000, seed=99)
-    result = check_equalization(config)
-    rerun = check_equalization(config)
-    assert result == rerun
-    assert json.dumps(result.to_dict()) == json.dumps(rerun.to_dict())
+    for family in Family:
+        model = _synthetic_models(family)[-1]  # pooled venue, largest samples
+        config = SimConfig(model=model, actual_target=330, n_trials=1_000_000, seed=99)
+        result = check_equalization(config)
+        rerun = check_equalization(config)
+        assert result == rerun
+        assert json.dumps(result.to_dict()) == json.dumps(rerun.to_dict())
 
-    analytic_first = survival(model.dist_bat_first_win, 330)
-    analytic_second = survival(model.dist_bat_second_win, result.revised_target)
-    assert abs(result.est_first_exceed - analytic_first) <= 4.0 * result.se_first_exceed
-    assert abs(result.est_second_exceed - analytic_second) <= 4.0 * result.se_second_exceed
-    bound = 4.0 * (
-        result.se_second_exceed + model.win_ratio * result.se_first_exceed
-    ) + pmf(model.dist_bat_second_win, result.revised_target)
-    assert abs(result.est_second_exceed - model.win_ratio * result.est_first_exceed) <= bound
+        analytic_first = survival(model.dist_bat_first_win, 330)
+        analytic_second = survival(model.dist_bat_second_win, result.revised_target)
+        assert abs(result.est_first_exceed - analytic_first) <= 4.0 * result.se_first_exceed, (
+            f"{family.value}: first-innings exceedance"
+        )
+        assert abs(result.est_second_exceed - analytic_second) <= 4.0 * result.se_second_exceed, (
+            f"{family.value}: second-innings exceedance"
+        )
+        bound = 4.0 * (
+            result.se_second_exceed + model.win_ratio * result.se_first_exceed
+        ) + pmf(model.dist_bat_second_win, result.revised_target)
+        assert abs(result.est_second_exceed - model.win_ratio * result.est_first_exceed) <= bound, (
+            f"{family.value}: equalization"
+        )
 
 
 @criterion(9, "end-to-end round trip: 2000 synthetic matches, fitted means within 2%")
