@@ -159,24 +159,26 @@ def parse_matches(source: Source) -> list[MatchRecord]:
 
 def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("missing header", row=1) from None
-    if tuple(header) != CSV_HEADER:
-        raise MalformedRow(f"header must be exactly {','.join(CSV_HEADER)}", row=1)
-
     records: list[MatchRecord] = []
     seen: set[str] = set()
-    for fields in reader:
-        if not fields:
-            continue
-        line = reader.line_num
-        record = _parse_row(fields, line)
-        if record.match_id in seen:
-            raise DuplicateMatchId(f"match_id {record.match_id!r} already seen", row=line)
-        seen.add(record.match_id)
-        records.append(record)
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow("missing header", row=1) from None
+        if tuple(header) != CSV_HEADER:
+            raise MalformedRow(f"header must be exactly {','.join(CSV_HEADER)}", row=1)
+        for fields in reader:
+            if not fields:
+                continue
+            line = reader.line_num
+            record = _parse_row(fields, line)
+            if record.match_id in seen:
+                raise DuplicateMatchId(f"match_id {record.match_id!r} already seen", row=line)
+            seen.add(record.match_id)
+            records.append(record)
+    except csv.Error as exc:
+        raise MalformedRow(f"unreadable CSV: {exc}", row=reader.line_num) from None
     return records
 
 
@@ -187,20 +189,29 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
 
     date: dt.date | None = None
     if date_text:
+        # fromisoformat alone also takes other ISO forms on newer Pythons
+        # (20240101, 2024-W01-1); this shape leaves only YYYY-MM-DD, whose
+        # digits it checks itself
         try:
+            if not (len(date_text) == 10 and date_text[4] == date_text[7] == "-" and date_text.isascii()):
+                raise ValueError
             date = dt.date.fromisoformat(date_text)
         except ValueError:
-            raise MalformedRow(f"date must be ISO-8601 or empty, got {date_text!r}", row=line)
+            raise MalformedRow(f"date must be YYYY-MM-DD or empty, got {date_text!r}", row=line)
 
-    runs = []
-    for label, text in (("first_innings_runs", first_text), ("second_innings_runs", second_text)):
-        try:
-            value = int(text)
-        except ValueError:
-            raise MalformedRow(f"{label} must be an integer, got {text!r}", row=line)
-        if value < 0:
-            raise MalformedRow(f"{label} must be non-negative, got {value}", row=line)
-        runs.append(value)
+    # int() also takes signs, spaces, underscores and non-ASCII digits
+    try:
+        if not (first_text.isascii() and first_text.isdigit()):
+            raise ValueError
+        first = int(first_text)
+    except ValueError:
+        raise MalformedRow(f"first_innings_runs must be a non-negative integer, got {first_text!r}", row=line)
+    try:
+        if not (second_text.isascii() and second_text.isdigit()):
+            raise ValueError
+        second = int(second_text)
+    except ValueError:
+        raise MalformedRow(f"second_innings_runs must be a non-negative integer, got {second_text!r}", row=line)
 
     try:
         outcome = Outcome(outcome_text)
@@ -217,8 +228,8 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
             match_id=match_id,
             venue=venue.strip(),
             date=date,
-            first_innings_runs=runs[0],
-            second_innings_runs=runs[1],
+            first_innings_runs=first,
+            second_innings_runs=second,
             outcome=outcome,
             reduced_overs=reduced_text == "true",
         )

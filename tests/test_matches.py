@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import io
 import math
 
@@ -97,6 +98,58 @@ class TestParse:
         with pytest.raises(MalformedRow) as exc_info:
             parse_text(row + "\n")
         assert exc_info.value.row == 2
+
+    @pytest.mark.parametrize(
+        "runs",
+        ["2_50", " 260", "260 ", "+5", "-0", "\u0661\u0662", "\uff12\uff15\uff10", "2\u00b2", "1e3", "", "2\r5"],
+    )
+    def test_runs_must_be_plain_ascii_digits(self, runs):
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_text(f"m1,Sydney,,{runs},200,BatFirstWin,false\n")
+        assert exc_info.value.row == 2
+
+    def test_runs_with_leading_zeros_accepted(self):
+        assert parse_text("m1,Sydney,,0248,0,BatFirstWin,false\n")[0].first_innings_runs == 248
+
+    @pytest.mark.parametrize(
+        "date",
+        [
+            "20240101",
+            "2024-W01-1",
+            "2024-001",
+            "2024-1-01",
+            " 2024-01-01",
+            "2024-01-01 ",
+            "2024-01-01T00:00",
+            "\uff12\uff10\uff12\uff14-01-01",
+            "2024-02-30",
+            "2024-13-01",
+        ],
+    )
+    def test_date_must_be_yyyy_mm_dd(self, date):
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_text(f"m1,Sydney,{date},248,200,BatFirstWin,false\n")
+        assert exc_info.value.row == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=12))
+    def test_runs_accepted_exactly_when_ascii_digits(self, text):
+        expected_ok = text != "" and all("0" <= c <= "9" for c in text)
+        row = ",".join(["m1", "Sydney", "", "1000000", text, "BatFirstWin", "false"])
+        try:
+            records = parse_matches(io.StringIO(HEADER_LINE + "\n" + row + "\n"))
+        except MalformedRow:
+            assert not expected_ok
+        except InconsistentOutcome:
+            assert expected_ok  # parsed, then too high for the outcome
+        else:
+            assert expected_ok and records[0].second_innings_runs == int(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(day=st.dates(min_value=dt.date(1, 1, 1)))
+    def test_every_calendar_date_round_trips(self, day):
+        text = f"{day.year:04d}-{day.month:02d}-{day.day:02d}"
+        assert parse_text(f"m1,Sydney,{text},248,200,BatFirstWin,false\n")[0].date == day
 
     def test_tie_with_unequal_scores_rejected(self):
         with pytest.raises(InconsistentOutcome):
