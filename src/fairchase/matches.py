@@ -320,10 +320,6 @@ def resolve_venue(dataset: CategorizedScores, venue: str) -> str:
     raise UnknownVenue(f"venue {venue!r} not present in the dataset")
 
 
-def decisive_match_count(samples: Mapping[CaseLabel, CaseSample]) -> int:
-    return samples[CaseLabel.BAT_FIRST_WIN].size + samples[CaseLabel.BAT_SECOND_WIN].size
-
-
 def summarize(
     dataset: CategorizedScores, venues: Sequence[str] | None = None
 ) -> list[SummaryRow]:
