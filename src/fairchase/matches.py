@@ -199,19 +199,8 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
         except ValueError:
             raise MalformedRow(f"date must be YYYY-MM-DD or empty, got {date_text!r}", row=line)
 
-    # int() also takes signs, spaces, underscores and non-ASCII digits
-    try:
-        if not (first_text.isascii() and first_text.isdigit()):
-            raise ValueError
-        first = int(first_text)
-    except ValueError:
-        raise MalformedRow(f"first_innings_runs must be a non-negative integer, got {first_text!r}", row=line)
-    try:
-        if not (second_text.isascii() and second_text.isdigit()):
-            raise ValueError
-        second = int(second_text)
-    except ValueError:
-        raise MalformedRow(f"second_innings_runs must be a non-negative integer, got {second_text!r}", row=line)
+    first = _parse_runs("first_innings_runs", first_text, line)
+    second = _parse_runs("second_innings_runs", second_text, line)
 
     try:
         outcome = Outcome(outcome_text)
@@ -235,6 +224,17 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
         )
     except (MalformedRow, InconsistentOutcome) as exc:
         raise type(exc)(str(exc), row=line) from None
+
+
+def _parse_runs(label: str, text: str, line: int) -> int:
+    """Innings runs written as plain ASCII digits; int() alone also takes
+    signs, spaces, underscores and other scripts' digits."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise MalformedRow(f"{label} must be a non-negative integer, got {text!r}", row=line)
 
 
 def serialize_matches(records: Iterable[MatchRecord]) -> str:

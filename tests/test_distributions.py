@@ -8,6 +8,8 @@ CDF scans for quantiles.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -158,6 +160,32 @@ class TestCdfSurvival:
         assert cdf(dist, 10**9) == pytest.approx(1.0, abs=1e-12)
         assert dist._cdf_table.size <= 4096
 
+    def test_nb_cdf_shared_across_threads(self):
+        reference = FittedDist.negbin(3.0, 0.02)
+        points = list(range(0, 3000, 37))
+        expected = [cdf(reference, x) for x in points]
+        shared = FittedDist.negbin(3.0, 0.02)
+        results: dict[int, list[float]] = {}
+
+        def worker(index: int) -> None:
+            order = points[index % len(points):] + points[: index % len(points)]
+            values = {x: cdf(shared, x) for x in order}
+            results[index] = [values[x] for x in points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i * 11,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(values == expected for values in results.values())
+
     def test_complement_identity_exact(self):
         dist = FittedDist.negbin(8.0, 0.04)
         for x in (0, 100, 192, 300, 550):
@@ -297,6 +325,10 @@ class TestFitNb:
         scores = seeded_nb_sample(8.0, 0.04, 100)
         with pytest.raises(InvalidParams):
             fit_nb([s + 0.5 for s in scores])
+
+    def test_scores_beyond_count_range_rejected(self):
+        with pytest.raises(InvalidParams):
+            fit_nb([200] * 20 + [10**8])
 
     def test_constant_sample_underdispersed(self):
         with pytest.raises(UnderdispersedSample):
