@@ -9,6 +9,7 @@ caches its cumulative-mass table, which is replaced whole, never mutated).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import statistics
@@ -114,9 +115,7 @@ class FittedDist:
     degenerate: bool = False
     #: Negative binomial only: cumulative mass at 0, 1, ..., len - 1, grown
     #: on demand by _nb_cdf_table.
-    _cdf_table: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _cdf_table: list[float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = _PARAMS_BY_FAMILY[self.family]
@@ -193,36 +192,40 @@ def nb_pmf(x: int, params: NegBinParams) -> float:
 _MIN_TABLE = 512
 
 
-def _nb_cdf_table(dist: FittedDist, x: int) -> np.ndarray:
-    """The count model's cumulative-mass table, long enough to hold x or
-    settled for good.
+def _nb_settled(table: list[float], params: NegBinParams) -> bool:
+    """Whether every score past the table has the table's last value.
 
-    Every length is computed from scratch (pmf terms from log-gamma, summed
-    in order and clipped at 1), so an entry never depends on which scores
-    were asked for first. Past the mode each pmf term is smaller than the
-    one before, so once a term leaves the sum unchanged every later one does
-    too: the table has settled, and every score beyond it reads its last
-    entry.
+    Past the mode each pmf term is smaller than the one before, so once a
+    term leaves the sum unchanged every later one does too.
+    """
+    decreasing_from = (params.n * (1.0 - params.p) - 1.0) / params.p
+    return len(table) - 2 > decreasing_from and table[-1] == table[-2]
+
+
+def _nb_cdf_table(dist: FittedDist, x: int) -> list[float]:
+    """The count model's cumulative-mass table, long enough to hold x or
+    settled (see _nb_settled).
+
+    Log-pmf terms come from the ratio pmf(k) / pmf(k - 1) = (k - 1 + n)(1 - p) / k,
+    summed in log space; near the top of the table this is more accurate
+    than differencing log-gamma values in the thousands (or, for large n,
+    the millions). The pmf is summed in order and clipped at 1. Every length
+    is computed from scratch, and every array has the table's power-of-two
+    length, so an entry never depends on which scores were asked for first.
     """
     params = dist.params
-    decreasing_from = (params.n * (1.0 - params.p) - 1.0) / params.p
-
-    def settled(table: np.ndarray) -> bool:
-        return table.size - 2 > decreasing_from and table[-1] == table[-2]
-
     table = dist._cdf_table
-    if table is not None and (x < table.size or settled(table)):
+    if table is not None and (x < len(table) or _nb_settled(table, params)):
         return table
-    length = _MIN_TABLE if table is None else 2 * table.size
-    log_base = params.n * math.log(params.p) - math.lgamma(params.n)
+    length = _MIN_TABLE if table is None else 2 * len(table)
+    log_p0 = params.n * math.log(params.p)
     log_q = math.log1p(-params.p)
     while True:
-        log_terms = [
-            math.lgamma(k + params.n) - math.lgamma(k + 1.0) + log_base + k * log_q
-            for k in range(length)
-        ]
-        table = np.minimum(np.cumsum(np.exp(log_terms)), 1.0)
-        if x < length or settled(table):
+        k = np.arange(1.0, length + 1.0)
+        log_pmf = log_p0 + np.cumsum(np.log1p((params.n - 1.0) / k) + log_q)
+        terms = np.exp(np.concatenate(([log_p0], log_pmf[:-1])))
+        table = np.minimum(np.cumsum(terms), 1.0).tolist()
+        if x < length or _nb_settled(table, params):
             break
         length *= 2
     object.__setattr__(dist, "_cdf_table", table)  # one assignment: readers see old or new
@@ -241,8 +244,11 @@ def cdf(dist: FittedDist, x: int) -> float:
         return 0.0
     p = dist.params
     if isinstance(p, NegBinParams):
-        table = _nb_cdf_table(dist, x)
-        return float(table[min(x, table.size - 1)])
+        table = dist._cdf_table
+        if table is None or x >= len(table):
+            table = _nb_cdf_table(dist, x)
+            x = min(x, len(table) - 1)
+        return table[x]
     if isinstance(p, NormalParams):
         return 0.5 * math.erfc(-(x - p.mu) / p.sigma / _SQRT2)
     z = (x - p.mu) / p.s
@@ -273,8 +279,8 @@ def pmf(dist: FittedDist, x: int) -> float:
 def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int:
     """Smallest integer score x >= 0 with cdf(x) >= q.
 
-    The negative binomial is inverted exactly via bracketed binary search on
-    its CDF; the continuous families take the ceiling of the analytic inverse
+    The negative binomial is inverted exactly by binary search on its
+    cumulative-mass table; the continuous families take the ceiling of the analytic inverse
     CDF (so the returned score never understates the probability), floored at
     0. q = 1 cannot be reached on unbounded support: the hard cap is returned
     and a DegenerateQuantileWarning is issued. The same applies whenever the
@@ -300,28 +306,17 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
         raw = p.mu + p.s * (math.log(q) - math.log1p(-q))
         return _clip_to_cap(math.ceil(raw), cap)
 
-    if cdf(dist, 0) >= q:
-        return 0
-    lo, hi = 0, 1
-    while cdf(dist, hi) < q:
-        lo, hi = hi, hi * 2
-        if hi >= cap:
-            if cdf(dist, cap) < q:
-                warnings.warn(
-                    f"quantile({q}) exceeds the hard cap {cap}",
-                    DegenerateQuantileWarning,
-                    stacklevel=2,
-                )
-                return cap
-            hi = cap
-            break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cdf(dist, mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    table = _nb_cdf_table(dist, 0)
+    x = bisect.bisect_left(table, q)
+    while x == len(table) and x <= cap and not _nb_settled(table, p):
+        table = _nb_cdf_table(dist, x)
+        x = bisect.bisect_left(table, q)
+    if x > cap:
+        warnings.warn(
+            f"quantile({q}) exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=2
+        )
+        return cap
+    return x
 
 
 def _clip_to_cap(x: int, cap: int) -> int:
