@@ -280,9 +280,9 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
     """Smallest integer score x >= 0 with cdf(x) >= q.
 
     The negative binomial is inverted exactly by binary search on its
-    cumulative-mass table; the continuous families take the ceiling of the analytic inverse
-    CDF (so the returned score never understates the probability), floored at
-    0. q = 1 cannot be reached on unbounded support: the hard cap is returned
+    cumulative-mass table; the continuous families take the ceiling of the
+    analytic inverse CDF (so the returned score never understates the
+    probability), floored at 0. q = 1 cannot be reached on unbounded support: the hard cap is returned
     and a DegenerateQuantileWarning is issued. The same applies whenever the
     true quantile exceeds the cap.
     """
@@ -345,10 +345,6 @@ def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:
 #: entry per run up to the largest score.
 _MAX_COUNT_SCORE = 10_000_000
 
-#: Dispersions on the coarse log grid that fit_nb scans before refining.
-_GRID_POINTS = 64
-
-
 def _tail_counts(xs: np.ndarray) -> np.ndarray:
     """A[j] = #{i : x_i > j} for j = 0 .. max(x) - 1."""
     if xs.max() > _MAX_COUNT_SCORE:
@@ -359,7 +355,9 @@ def _tail_counts(xs: np.ndarray) -> np.ndarray:
     return (xs.size - np.cumsum(np.bincount(ints))[:-1]).astype(float)
 
 
-def _nb_profile_loglik(n, tails: np.ndarray, size: int, xbar: float) -> np.ndarray:
+def _nb_profile_loglik(
+    n: float | np.ndarray, tails: np.ndarray, size: int, xbar: float
+) -> np.ndarray:
     """Log-likelihood at each dispersion in n, with p profiled out at n / (n + mean).
 
     Sum_i log Gamma(x_i + n) / Gamma(n) telescopes into Sum_j A_j log(n + j)
@@ -398,11 +396,11 @@ def _nb_refine(lo: float, hi: float, tails: np.ndarray, size: int, xbar: float, 
         return math.exp(lo)
     if f_hi >= 0.0:
         return math.exp(hi)
-    bisect = False
+    halve = False
     while hi - lo > tol:
         width = hi - lo
         t = hi - f_hi * width / (f_hi - f_lo)
-        if bisect or not lo < t < hi:
+        if halve or not lo < t < hi:
             t = 0.5 * (lo + hi)
         f = score(t)
         if f > 0.0:
@@ -411,7 +409,7 @@ def _nb_refine(lo: float, hi: float, tails: np.ndarray, size: int, xbar: float, 
             hi, f_hi = t, f
         else:
             return math.exp(t)
-        bisect = hi - lo > 0.5 * width
+        halve = hi - lo > 0.5 * width
     return math.exp(0.5 * (lo + hi))
 
 
@@ -442,7 +440,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         ll = float(_nb_profile_loglik(n, tails, size, xbar))
         return FittedDist(Family.NEGBIN, params, size, ll, degenerate=True)
 
-    grid = np.exp(np.linspace(math.log(config.n_lower), math.log(config.n_upper), _GRID_POINTS))
+    grid = np.exp(np.linspace(math.log(config.n_lower), math.log(config.n_upper), 64))
     # rows per product, so the grid-by-score matrix stays near 8 MB
     step = max(1, (1 << 20) // max(1, tails.size))
     values = np.concatenate(
