@@ -442,7 +442,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
 
     grid = np.exp(np.linspace(math.log(config.n_lower), math.log(config.n_upper), 64))
     # rows per product, so the grid-by-score matrix stays near 8 MB
-    step = max(1, (1 << 20) // max(1, tails.size))
+    step = max(1, (1 << 20) // tails.size)
     values = np.concatenate(
         [_nb_profile_loglik(grid[k : k + step], tails, size, xbar) for k in range(0, grid.size, step)]
     )
