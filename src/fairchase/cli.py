@@ -9,6 +9,7 @@ regime error, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
@@ -17,14 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .config import (
-    AppConfig,
-    LOW_TARGET_WARNING_THRESHOLD,
-    load_config_file,
-    parse_family,
-    parse_target_grid,
-    parse_venue_list,
-)
+from .config import SETTINGS, AppConfig, LOW_TARGET_WARNING_THRESHOLD, Setting, load_config_file
 from .distributions import Family, FittedDist, fit, fitted_to_json, pmf, survival
 from .errors import (
     FairchaseError,
@@ -74,31 +68,30 @@ _EXIT_CODE_HELP = (
 )
 
 
+def _flag_type(setting: Setting) -> Callable[[str], object]:
+    """The setting's parser, with its FairchaseError turned into a usage error."""
+
+    def parse(text: str) -> object:
+        try:
+            return setting.parse(text)
+        except FairchaseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", metavar="PATH", help="match CSV file to load")
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    common.add_argument("--venues", metavar="A,B,C", help="restrict to these venues (comma-separated)")
-    common.add_argument(
-        "--family",
-        choices=("nb", "normal", "logistic"),
-        help="distribution family to fit (default nb)",
-    )
-    common.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, metavar="N", help="root RNG seed (default 0)")
-    common.add_argument(
-        "--target-grid", metavar="T1,T2,...", help="targets for report tables (default 300,315,330,340,350)"
-    )
-    common.add_argument(
-        "--min-sample-size", type=int, metavar="N", help="smallest fittable case sample (default 10)"
-    )
-    common.add_argument(
-        "--quantile-cap", type=int, metavar="N", help="hard ceiling for discrete quantiles (default 2000)"
-    )
-    common.add_argument(
-        "--curve-max-score", type=int, metavar="N", help="last score in survival curves (default 600)"
-    )
+    for setting in SETTINGS:
+        common.add_argument(
+            "--" + setting.key.replace("_", "-"),
+            dest=setting.key,
+            type=_flag_type(setting),
+            metavar=setting.metavar,
+            help=setting.help,
+        )
 
     parser = argparse.ArgumentParser(
         prog="fairchase",
@@ -141,29 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
-    config = AppConfig()
-    if args.config:
-        config = load_config_file(args.config, config)
-    overrides = {}
-    if args.data is not None:
-        overrides["data_path"] = args.data
-    if args.venues is not None:
-        overrides["venues"] = parse_venue_list(args.venues)
-    if args.family is not None:
-        overrides["family"] = parse_family(args.family)
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.target_grid is not None:
-        overrides["target_grid"] = parse_target_grid(args.target_grid)
-    if args.min_sample_size is not None:
-        overrides["min_sample_size"] = args.min_sample_size
-    if args.quantile_cap is not None:
-        overrides["quantile_cap"] = args.quantile_cap
-    if args.curve_max_score is not None:
-        overrides["curve_max_score"] = args.curve_max_score
-    return replace(config, **overrides)
+    config = load_config_file(args.config) if args.config else AppConfig()
+    flags = {s.field: getattr(args, s.key) for s in SETTINGS if getattr(args, s.key) is not None}
+    return replace(config, **flags)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -236,10 +209,16 @@ def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     if not args.out:
         raise FairchaseError("curves writes one CSV per venue; pass --out DIRECTORY")
+    names = _selected_venues(dataset, config)
+    by_slug: dict[str, str] = {}
+    for name in names:
+        other = by_slug.setdefault(_slug(name), name)
+        if other != name:
+            raise FairchaseError(f"venues {other!r} and {name!r} would both write curves_{_slug(name)}.csv")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fit_config = config.fit_config()
-    for name in _selected_venues(dataset, config):
+    for name in names:
         fits = {}
         try:
             for label in CaseLabel:
@@ -262,23 +241,21 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
         )
     model = build_model(dataset, args.venue, config.family, config.fit_config())
     result = revise_target(model, args.target)
+    row = {
+        "venue": model.venue,
+        "family": model.family.value,
+        "actual_target": result.actual,
+        "revised_target": result.revised,
+        "q_internal": result.q_internal,
+    }
     if config.output_format == "csv":
-        text = (
-            "venue,family,actual_target,revised_target,q_internal\n"
-            f"{model.venue},{model.family.value},{result.actual},{result.revised},"
-            f"{result.q_internal:.6f}\n"
-        )
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(row.keys())
+        writer.writerow({**row, "q_internal": f"{result.q_internal:.6f}"}.values())
+        text = out.getvalue()
     else:
-        text = json.dumps(
-            {
-                "venue": model.venue,
-                "family": model.family.value,
-                "actual_target": result.actual,
-                "revised_target": result.revised,
-                "q_internal": result.q_internal,
-            },
-            indent=2,
-        )
+        text = json.dumps(row, indent=2)
     _emit(text, args.out)
     return 0
 

@@ -1,6 +1,7 @@
-"""Runtime configuration: defaults, config-file parsing, and precedence.
+"""Runtime configuration: defaults, the settings table, and config-file parsing.
 
 Settings resolve as command-line flags > config file > built-in defaults.
+SETTINGS declares each one once, for both the config file and the flags.
 The config file is flat ``key = value`` text; unknown keys are rejected so
 typos fail loudly instead of silently using a default.
 """
@@ -9,13 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import IO, Union
+from typing import IO, Callable, NamedTuple, Union
 
-from .distributions import DEFAULT_QUANTILE_CAP, Family, FitConfig
+from .distributions import DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
 from .errors import FairchaseError
 
 DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
-DEFAULT_MIN_SAMPLE_SIZE = 10
 DEFAULT_CURVE_MAX_SCORE = 600
 DEFAULT_SEED = 0
 
@@ -37,8 +37,7 @@ class AppConfig:
     curve_max_score: int = DEFAULT_CURVE_MAX_SCORE
 
     def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise FairchaseError(f"format must be csv or json, got {self.output_format!r}")
+        parse_format(self.output_format)
         if self.min_sample_size < 2:
             raise FairchaseError("min_sample_size must be at least 2")
         if self.quantile_cap < 1:
@@ -51,10 +50,7 @@ class AppConfig:
             raise FairchaseError("seed must be non-negative")
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            min_sample_size=self.min_sample_size,
-            quantile_cap=self.quantile_cap,
-        )
+        return FitConfig(self.min_sample_size, self.quantile_cap)
 
 
 _FAMILY_ALIASES = {
@@ -72,6 +68,12 @@ def parse_family(text: str) -> Family:
         raise FairchaseError(
             f"family must be one of {sorted(_FAMILY_ALIASES)}, got {text!r}"
         ) from None
+
+
+def parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise FairchaseError(f"format must be csv or json, got {text!r}")
+    return text
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -95,18 +97,33 @@ def parse_venue_list(text: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-#: key -> (AppConfig field, parser)
-_CONFIG_KEYS = {
-    "data": ("data_path", str),
-    "venues": ("venues", parse_venue_list),
-    "family": ("family", parse_family),
-    "target_grid": ("target_grid", parse_target_grid),
-    "min_sample_size": ("min_sample_size", lambda t: _parse_int("min_sample_size", t)),
-    "quantile_cap": ("quantile_cap", lambda t: _parse_int("quantile_cap", t)),
-    "format": ("output_format", str),
-    "seed": ("seed", lambda t: _parse_int("seed", t)),
-    "curve_max_score": ("curve_max_score", lambda t: _parse_int("curve_max_score", t)),
-}
+class Setting(NamedTuple):
+    """One setting: its config-file key (the flag is --key-with-dashes), the
+    AppConfig field it sets, and the parser that both sources go through."""
+
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    metavar: str
+    help: str
+
+
+SETTINGS = (
+    Setting("data", "data_path", str, "PATH", "match CSV file to load"),
+    Setting("venues", "venues", parse_venue_list, "A,B,C", "restrict to these venues (comma-separated)"),
+    Setting("family", "family", parse_family, "nb|normal|logistic", "distribution family to fit (default nb)"),
+    Setting("format", "output_format", parse_format, "csv|json", "output format (default csv)"),
+    Setting("seed", "seed", lambda t: _parse_int("seed", t), "N", f"root RNG seed (default {DEFAULT_SEED})"),
+    Setting("target_grid", "target_grid", parse_target_grid, "T1,T2,...",
+            f"targets for report tables (default {','.join(map(str, DEFAULT_TARGET_GRID))})"),
+    Setting("min_sample_size", "min_sample_size", lambda t: _parse_int("min_sample_size", t), "N",
+            f"smallest fittable case sample (default {DEFAULT_MIN_SAMPLE_SIZE})"),
+    Setting("quantile_cap", "quantile_cap", lambda t: _parse_int("quantile_cap", t), "N",
+            f"hard ceiling for discrete quantiles (default {DEFAULT_QUANTILE_CAP})"),
+    Setting("curve_max_score", "curve_max_score", lambda t: _parse_int("curve_max_score", t), "N",
+            f"last score in survival curves (default {DEFAULT_CURVE_MAX_SCORE})"),
+)
+_SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
 
 
 def load_config_file(source: Union[str, os.PathLike, IO[str]], base: AppConfig | None = None) -> AppConfig:
@@ -130,9 +147,9 @@ def load_config_file(source: Union[str, os.PathLike, IO[str]], base: AppConfig |
             raise FairchaseError(f"config line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        setting = _SETTINGS_BY_KEY.get(key)
+        if setting is None:
             raise FairchaseError(f"config line {lineno}: unknown key {key!r}")
-        field_name, parser = _CONFIG_KEYS[key]
-        overrides[field_name] = parser(value)
+        overrides[setting.field] = setting.parse(value)
 
     return replace(base if base is not None else AppConfig(), **overrides)

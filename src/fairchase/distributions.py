@@ -29,6 +29,13 @@ from .errors import (
 )
 
 DEFAULT_QUANTILE_CAP = 2000
+DEFAULT_MIN_SAMPLE_SIZE = 10
+
+#: The count-model fit searches the dispersion n over [_N_LOWER, _N_UPPER]
+#: to _N_REL_TOL in log(n); a fit within 0.1% of _N_UPPER is flagged degenerate.
+_N_LOWER = 1e-3
+_N_UPPER = 1e6
+_N_REL_TOL = 1e-8
 
 _STANDARD_NORMAL = statistics.NormalDist()
 _SQRT2 = math.sqrt(2.0)
@@ -60,10 +67,6 @@ class NegBinParams:
     @property
     def mean(self) -> float:
         return self.n * (1.0 - self.p) / self.p
-
-    @property
-    def variance(self) -> float:
-        return self.mean / self.p
 
 
 @dataclass(frozen=True)
@@ -150,19 +153,11 @@ class FittedDist:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the fitting routines, with the documented defaults.
+    """The fit settings a caller chooses: the smallest case sample a fit
+    accepts, and the ceiling for discrete quantiles."""
 
-    underdispersed selects what fit_nb does when variance <= mean: "raise"
-    signals UnderdispersedSample, "clamp" returns the n_upper-bound fit with
-    the degenerate flag set.
-    """
-
-    min_sample_size: int = 10
-    n_lower: float = 1e-3
-    n_upper: float = 1e6
-    rel_tol: float = 1e-8
+    min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
     quantile_cap: int = DEFAULT_QUANTILE_CAP
-    underdispersed: str = "raise"
 
 
 DEFAULT_FIT_CONFIG = FitConfig()
@@ -417,7 +412,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
     """Maximum-likelihood negative binomial fit.
 
     p is profiled out analytically, which pins the fitted mean to the sample
-    mean; the dispersion n is then found on log(n) over [n_lower, n_upper].
+    mean; the dispersion n is then found on log(n) over [_N_LOWER, _N_UPPER].
     A coarse log-grid scan runs first so that a likelihood flat to tolerance
     resolves to the smallest (heaviest-tailed) n; a root search on the
     closed-form score then refines n between the grid neighbours. Scores
@@ -430,17 +425,12 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
     var = float(xs.var(ddof=1))
 
     if var <= xbar:
-        if config.underdispersed != "clamp" or xbar == 0.0:
-            raise UnderdispersedSample(
-                f"sample variance {var:.3f} <= mean {xbar:.3f}; "
-                "the count model cannot represent this sample"
-            )
-        n = config.n_upper
-        params = NegBinParams(n, n / (n + xbar))
-        ll = float(_nb_profile_loglik(n, tails, size, xbar))
-        return FittedDist(Family.NEGBIN, params, size, ll, degenerate=True)
+        raise UnderdispersedSample(
+            f"sample variance {var:.3f} <= mean {xbar:.3f}; "
+            "the count model cannot represent this sample"
+        )
 
-    grid = np.exp(np.linspace(math.log(config.n_lower), math.log(config.n_upper), 64))
+    grid = np.exp(np.linspace(math.log(_N_LOWER), math.log(_N_UPPER), 64))
     # rows per product, so the grid-by-score matrix stays near 8 MB
     step = max(1, (1 << 20) // tails.size)
     values = np.concatenate(
@@ -456,7 +446,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         tails,
         size,
         xbar,
-        config.rel_tol,
+        _N_REL_TOL,
     )
     ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
     if ll < best:
@@ -464,7 +454,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
-    degenerate = n_hat >= 0.999 * config.n_upper
+    degenerate = n_hat >= 0.999 * _N_UPPER
     return FittedDist(Family.NEGBIN, params, size, ll, degenerate=degenerate)
 
 

@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fairchase import parse_matches
-from fairchase.cli import _build_parser, main
+from fairchase import parse_matches, serialize_matches
+from fairchase.cli import _build_parser, _resolve_config, main
+from fairchase.config import SETTINGS, AppConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +29,14 @@ def data_csv(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("data") / "synth.csv"
     code = main(["generate", "--num-venues", "2", "--matches", "120", "--seed", "42", "--out", str(path)])
     assert code == 0
+    return str(path)
+
+
+def _renamed_venues(data_csv: str, tmp_path: Path, names: dict[str, str]) -> str:
+    """A copy of the data CSV with venues renamed per names."""
+    records = [replace(r, venue=names.get(r.venue, r.venue)) for r in parse_matches(data_csv)]
+    path = tmp_path / "renamed.csv"
+    path.write_text(serialize_matches(records), encoding="utf-8")
     return str(path)
 
 
@@ -173,6 +185,14 @@ class TestCurves:
         assert "skipping venue" in err
         assert not list(out_dir.iterdir())
 
+    def test_slug_collision_exits_2_before_writing(self, cli, data_csv, tmp_path):
+        data = _renamed_venues(data_csv, tmp_path, {"venue01": "Eden Park", "venue02": "Eden-Park"})
+        out_dir = tmp_path / "curves"
+        code, _, err = cli("curves", "--data", data, "--out", str(out_dir))
+        assert code == 2
+        assert "Eden Park" in err and "Eden-Park" in err
+        assert not out_dir.exists() or not list(out_dir.iterdir())
+
 
 class TestRevise:
     def test_revise_csv(self, cli, data_csv):
@@ -186,6 +206,15 @@ class TestRevise:
         assert fields[2] == "330"
         assert 200 < int(fields[3]) <= 330
         assert err == ""
+
+    def test_revise_csv_quotes_venue(self, cli, data_csv, tmp_path):
+        venue = 'Port of Spain, "Queen\'s Park"'
+        data = _renamed_venues(data_csv, tmp_path, {"venue01": venue})
+        code, out, _ = cli("revise", "--data", data, "--venue", venue, "--target", "330")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 5
+        assert row[0] == venue
 
     def test_revise_json(self, cli, data_csv):
         code, out, _ = cli(
@@ -344,6 +373,48 @@ class TestConfigFile:
         assert actuals == {"320", "340"}
 
 
+#: config key -> (a value that changes the default, a value that must exit 2)
+_SETTING_SAMPLES = {
+    "data": ("odi.csv", "no/such/file.csv"),
+    "venues": ("venue02,venue01", ","),
+    "family": ("logistic", "poisson"),
+    "format": ("json", "xml"),
+    "seed": ("7", "seven"),
+    "target_grid": ("320,340", "300,abc"),
+    "min_sample_size": ("12", "1"),
+    "quantile_cap": ("1500", "0"),
+    "curve_max_score": ("400", "1.5"),
+}
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestSettingsTable:
+    def test_every_setting_has_samples(self):
+        assert sorted(s.key for s in SETTINGS) == sorted(_SETTING_SAMPLES)
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
+    def test_flag_and_config_key_agree(self, setting, data_csv, tmp_path, capsys):
+        good, bad = _SETTING_SAMPLES[setting.key]
+        flag = "--" + setting.key.replace("_", "-")
+        cfg = tmp_path / "app.cfg"
+
+        cfg.write_text(f"{setting.key} = {good}\n")
+        from_file = _resolve_config(_build_parser().parse_args(["summary", "--config", str(cfg)]))
+        from_flag = _resolve_config(_build_parser().parse_args(["summary", flag, good]))
+        assert from_file == from_flag != AppConfig()
+
+        cfg.write_text(f"data = {data_csv}\n{setting.key} = {bad}\n")
+        assert _exit_code(["summary", "--config", str(cfg)]) == 2
+        assert _exit_code(["summary", "--data", data_csv, flag, bad]) == 2
+        capsys.readouterr()
+
+
 class TestArgparseBehavior:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:
@@ -391,6 +462,24 @@ class TestEntryPoints:
         assert lines[-1].startswith("overall,240,")
 
 
+class TestBenchBindings:
+    """The benchmark's tracer patches names in fairchase's modules; each must exist."""
+
+    def test_traced_bindings_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        bindings = importlib.import_module("tracing").BINDINGS
+        for module_name, names in bindings.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+    def test_worker_names_resolve(self):
+        cli_module = importlib.import_module("fairchase.cli")
+        for name in ("Family", "summary_to_json", "report_to_json"):
+            assert hasattr(cli_module, name), name
+        assert list(inspect.signature(cli_module.fit).parameters)[1] == "family"
+
+
 def _collect_option_strings(parser: argparse.ArgumentParser) -> set[str]:
     options: set[str] = set()
     for action in parser._actions:
@@ -408,6 +497,12 @@ class TestReadmeParity:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         for option in sorted(_collect_option_strings(_build_parser())):
             assert f"`{option}" in readme, f"flag {option} missing from README"
+
+    def test_every_config_key_documented_in_readme(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+        for setting in SETTINGS:
+            assert f"`{setting.key}`" in section, f"config key {setting.key} missing from README"
 
     def test_every_command_documented_in_readme(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

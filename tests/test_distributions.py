@@ -339,12 +339,6 @@ class TestFitNb:
         with pytest.raises(UnderdispersedSample):
             fit_nb(scores)
 
-    def test_underdispersed_clamp_flags_degenerate(self):
-        scores = [200, 201] * 25
-        fitted = fit_nb(scores, FitConfig(underdispersed="clamp"))
-        assert fitted.degenerate
-        assert fitted.params.mean == pytest.approx(200.5, rel=1e-6)
-
     def test_insufficient_sample(self):
         with pytest.raises(InsufficientSample):
             fit_nb([180, 210, 240])
