@@ -12,11 +12,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .config import SETTINGS, AppConfig, LOW_TARGET_WARNING_THRESHOLD, Setting, load_config_file
 from .distributions import Family, FittedDist, fit, fitted_to_json, pmf, survival
@@ -188,7 +191,7 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
     for name in _selected_venues(dataset, config):
         for label in CaseLabel:
             try:
-                dist = fit(dataset[name][label].scores, config.family, fit_config)
+                dist = fit(dataset[name][label].scores, config.fit_family, fit_config)
             except _FIT_ERRORS as exc:
                 _warn(f"skipping {name}/{_CASE_COLUMNS[label]}: {exc}")
                 continue
@@ -198,10 +201,11 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 def _curves_csv(fits: Mapping[CaseLabel, FittedDist], max_score: int) -> str:
+    scores = np.arange(-1, max_score + 1)
+    columns = [survival(fits[label], scores).tolist() for label in CaseLabel]
+    row = "%d" + ",%.12g" * len(columns)
     lines = ["score," + ",".join(_CASE_COLUMNS[label] for label in CaseLabel)]
-    for score in range(-1, max_score + 1):
-        values = ",".join(f"{survival(fits[label], score):.12g}" for label in CaseLabel)
-        lines.append(f"{score},{values}")
+    lines.extend(row % values for values in zip(scores.tolist(), *columns))
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +226,7 @@ def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
         fits = {}
         try:
             for label in CaseLabel:
-                fits[label] = fit(dataset[name][label].scores, config.family, fit_config)
+                fits[label] = fit(dataset[name][label].scores, config.fit_family, fit_config)
         except _FIT_ERRORS as exc:
             _warn(f"skipping venue {name!r}: {exc}")
             continue
@@ -239,7 +243,7 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
             f"target {args.target} is below {LOW_TARGET_WARNING_THRESHOLD}; "
             "the model is meant for tough chases and may be unreliable here"
         )
-    model = build_model(dataset, args.venue, config.family, config.fit_config())
+    model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
     result = revise_target(model, args.target)
     row = {
         "venue": model.venue,
@@ -264,11 +268,7 @@ def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     names = _selected_venues(dataset, config)
     filtered = {name: dataset[name] for name in names}
-    families = (
-        (config.family,)
-        if args.family is not None
-        else (Family.NEGBIN, Family.NORMAL, Family.LOGISTIC)
-    )
+    families = tuple(Family) if config.family is None else (config.family,)
     report = revision_report(filtered, families, config.target_grid, config.fit_config())
     text = report_to_csv(report) if config.output_format == "csv" else report_to_json(report)
     _emit(text, args.out)
@@ -277,7 +277,7 @@ def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
-    model = build_model(dataset, args.venue, config.family, config.fit_config())
+    model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
     result = check_equalization(
         SimConfig(model=model, actual_target=args.target, n_trials=args.trials, seed=config.seed)
     )
@@ -334,43 +334,36 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     modeled = []
     for name in selected:
         try:
-            modeled.append((name, build_model(dataset, name, config.family, fit_config)))
+            modeled.append((name, build_model(dataset, name, config.fit_family, fit_config)))
         except _FIT_ERRORS as exc:
             _warn(f"validate: skipping venue {name!r}: {exc}")
 
+    support = np.arange(config.quantile_cap + 1)
+    curve = np.arange(config.curve_max_score + 1)
     for name, model in modeled:
         for dist_name, dist in (
             ("bat_first_win", model.dist_bat_first_win),
             ("bat_second_win", model.dist_bat_second_win),
         ):
-            total = sum(pmf(dist, x) for x in range(0, config.quantile_cap + 1))
+            total = math.fsum(pmf(dist, support).tolist())
             check(f"{name}/{dist_name}: pmf sums to 1", abs(total - 1.0) <= 1e-9, f"sum={total:.12f}")
-            monotone = all(
-                survival(dist, x + 1) <= survival(dist, x) + 1e-12
-                for x in range(0, config.curve_max_score)
-            )
-            check(f"{name}/{dist_name}: survival non-increasing", monotone)
+            s = survival(dist, curve)
+            check(f"{name}/{dist_name}: survival non-increasing", bool(np.all(s[1:] <= s[:-1] + 1e-12)))
 
-        residuals = []
-        revised_seq = []
+        pairs = []
         for actual in config.target_grid:
             try:
-                result = revise_target(model, actual)
+                pairs.append((actual, revise_target(model, actual).revised))
             except TargetUnattainable:
                 continue
-            gap = abs(
-                survival(model.dist_bat_second_win, result.revised)
-                - model.win_ratio * survival(model.dist_bat_first_win, actual)
-            )
-            residuals.append(gap - pmf(model.dist_bat_second_win, result.revised))
-            revised_seq.append(result.revised)
-        check(
-            f"{name}: equalization identity within one pmf step",
-            all(r <= 1e-12 for r in residuals),
-        )
+        actuals, revised = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        second = model.dist_bat_second_win
+        gap = np.abs(survival(second, revised) - model.win_ratio * survival(model.dist_bat_first_win, actuals))
+        residuals = gap - pmf(second, revised)
+        check(f"{name}: equalization identity within one pmf step", bool(np.all(residuals <= 1e-12)))
         check(
             f"{name}: revised target non-decreasing in actual target",
-            all(a <= b for a, b in zip(revised_seq, revised_seq[1:])),
+            bool(np.all(revised[:-1] <= revised[1:])),
         )
 
     failures = 0

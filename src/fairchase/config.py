@@ -28,7 +28,9 @@ LOW_TARGET_WARNING_THRESHOLD = 300
 class AppConfig:
     data_path: str | None = None
     venues: tuple[str, ...] | None = None
-    family: Family = Family.NEGBIN
+    #: None until a flag or the config file chooses one: report then covers
+    #: all three families, and every other command fits fit_family.
+    family: Family | None = None
     target_grid: tuple[int, ...] = DEFAULT_TARGET_GRID
     min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
     quantile_cap: int = DEFAULT_QUANTILE_CAP
@@ -48,6 +50,11 @@ class AppConfig:
             raise FairchaseError("target_grid must be non-empty, with non-negative targets")
         if self.seed < 0:
             raise FairchaseError("seed must be non-negative")
+
+    @property
+    def fit_family(self) -> Family:
+        """The family a single-family command fits: the chosen one, else negbin."""
+        return Family.NEGBIN if self.family is None else self.family
 
     def fit_config(self) -> FitConfig:
         return FitConfig(self.min_sample_size, self.quantile_cap)

@@ -1,10 +1,15 @@
 """Score distribution families and their fitting routines.
 
-Three families model innings totals: a negative binomial evaluated through
-log-gamma (the primary count model), plus normal and logistic comparators
-fitted by moments. All evaluation functions are pure; fitted distributions
-are immutable values safe to share across threads (the negative binomial
-caches its cumulative-mass table, which is replaced whole, never mutated).
+Three families model innings totals: a negative binomial (the primary count
+model, fitted by maximum likelihood), plus normal and logistic comparators
+fitted by moments. The negative binomial's cdf, survival and quantile read a
+cumulative-mass table built from the pmf ratio of successive scores and
+cached on the fitted distribution (replaced whole, never mutated, so fitted
+distributions are immutable values safe to share across threads). pmf, cdf
+and survival take one integer score or an integer numpy array of them; an
+array gives a float array, each element equal to the scalar call, except
+that the negative binomial pmf reads the table's terms instead of log-gamma
+(the two agree to about 1e-11 relative at scores in the thousands).
 """
 
 from __future__ import annotations
@@ -197,29 +202,35 @@ def _nb_settled(table: list[float], params: NegBinParams) -> bool:
     return len(table) - 2 > decreasing_from and table[-1] == table[-2]
 
 
+def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
+    """Log-pmf at 0, 1, ..., length - 1, length a power of two from _MIN_TABLE.
+
+    Terms come from the ratio pmf(k) / pmf(k - 1) = (k - 1 + n)(1 - p) / k,
+    summed in log space; near the top of the table this is more accurate
+    than differencing log-gamma values in the thousands (or, for large n,
+    the millions). Every array has the table's power-of-two length, so a
+    term never depends on which scores were asked for first.
+    """
+    log_p0 = params.n * math.log(params.p)
+    k = np.arange(1.0, length + 1.0)
+    log_pmf = log_p0 + np.cumsum(np.log1p((params.n - 1.0) / k) + math.log1p(-params.p))
+    return np.concatenate(([log_p0], log_pmf[:-1]))
+
+
 def _nb_cdf_table(dist: FittedDist, x: int) -> list[float]:
     """The count model's cumulative-mass table, long enough to hold x or
     settled (see _nb_settled).
 
-    Log-pmf terms come from the ratio pmf(k) / pmf(k - 1) = (k - 1 + n)(1 - p) / k,
-    summed in log space; near the top of the table this is more accurate
-    than differencing log-gamma values in the thousands (or, for large n,
-    the millions). The pmf is summed in order and clipped at 1. Every length
-    is computed from scratch, and every array has the table's power-of-two
-    length, so an entry never depends on which scores were asked for first.
+    The pmf terms of _nb_log_terms are summed in order and clipped at 1.
+    Every length is computed from scratch.
     """
     params = dist.params
     table = dist._cdf_table
     if table is not None and (x < len(table) or _nb_settled(table, params)):
         return table
     length = _MIN_TABLE if table is None else 2 * len(table)
-    log_p0 = params.n * math.log(params.p)
-    log_q = math.log1p(-params.p)
     while True:
-        k = np.arange(1.0, length + 1.0)
-        log_pmf = log_p0 + np.cumsum(np.log1p((params.n - 1.0) / k) + log_q)
-        terms = np.exp(np.concatenate(([log_p0], log_pmf[:-1])))
-        table = np.minimum(np.cumsum(terms), 1.0).tolist()
+        table = np.minimum(np.cumsum(np.exp(_nb_log_terms(params, length))), 1.0).tolist()
         if x < length or _nb_settled(table, params):
             break
         length *= 2
@@ -227,14 +238,50 @@ def _nb_cdf_table(dist: FittedDist, x: int) -> list[float]:
     return table
 
 
-def cdf(dist: FittedDist, x: int) -> float:
+def _normal_cdf(p: NormalParams, x: int) -> float:
+    return 0.5 * math.erfc(-(x - p.mu) / p.sigma / _SQRT2)
+
+
+def _logistic_cdf(p: LogisticParams, x: int) -> float:
+    z = (x - p.mu) / p.s
+    # written to avoid overflow for large |z|
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _score_array(x: np.ndarray) -> np.ndarray:
+    if x.dtype.kind not in "iu":
+        raise InvalidParams(f"scores must be an integer array, got dtype {x.dtype}")
+    return x.astype(np.int64, copy=False)
+
+
+def _cdf_array(dist: FittedDist, x: np.ndarray) -> np.ndarray:
+    """cdf at every score of an integer array, each element equal to the scalar call."""
+    x = _score_array(x)
+    p = dist.params
+    if isinstance(p, NegBinParams):
+        top = int(x.max()) if x.size else 0
+        table = np.asarray(_nb_cdf_table(dist, top))
+        return np.where(x < 0, 0.0, table[np.clip(x, 0, table.size - 1)])
+    family_cdf = _normal_cdf if isinstance(p, NormalParams) else _logistic_cdf
+    values = [0.0 if v < 0 else family_cdf(p, v) for v in x.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(x.shape)
+
+
+def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     """P(X <= x). Scores are non-negative, so any x < 0 returns 0.
 
     The negative binomial reads a cumulative-mass table held by the fitted
     distribution: the pmf summed in order from 0 to x. The continuous
     families evaluate their analytic CDF directly at integer x, with no
-    continuity correction.
+    continuity correction. An integer array gives a float array: the
+    negative binomial grows its table once, to the largest score, and
+    indexes it.
     """
+    if isinstance(x, np.ndarray):
+        return _cdf_array(dist, x)
     if x < 0:
         return 0.0
     p = dist.params
@@ -245,29 +292,32 @@ def cdf(dist: FittedDist, x: int) -> float:
             x = min(x, len(table) - 1)
         return table[x]
     if isinstance(p, NormalParams):
-        return 0.5 * math.erfc(-(x - p.mu) / p.sigma / _SQRT2)
-    z = (x - p.mu) / p.s
-    # logistic CDF, written to avoid overflow for large |z|
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+        return _normal_cdf(p, x)
+    return _logistic_cdf(p, x)
 
 
-def survival(dist: FittedDist, x: int) -> float:
-    """P(X > x), the complement of cdf."""
+def survival(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
+    """P(X > x), the complement of cdf; elementwise for an integer array."""
     return 1.0 - cdf(dist, x)
 
 
-def pmf(dist: FittedDist, x: int) -> float:
-    """Probability mass at integer x.
+def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
+    """Probability mass at integer x, or at every score of an integer array.
 
     Exact for the negative binomial; for the continuous comparators this is
     the unit-step mass cdf(x) - cdf(x - 1), which is the resolution limit of
-    any integer-valued inversion.
+    any integer-valued inversion. A negative binomial array exponentiates the
+    log-pmf terms its cumulative-mass table sums, rather than calling nb_pmf.
     """
     if isinstance(dist.params, NegBinParams):
-        return nb_pmf(x, dist.params)
+        if not isinstance(x, np.ndarray):
+            return nb_pmf(x, dist.params)
+        x = _score_array(x)
+        length = _MIN_TABLE
+        while x.size and length <= x.max():
+            length *= 2
+        terms = np.exp(_nb_log_terms(dist.params, length))
+        return np.where(x < 0, 0.0, terms[np.maximum(x, 0)])
     return cdf(dist, x) - cdf(dist, x - 1)
 
 
@@ -277,9 +327,9 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
     The negative binomial is inverted exactly by binary search on its
     cumulative-mass table; the continuous families take the ceiling of the
     analytic inverse CDF (so the returned score never understates the
-    probability), floored at 0. q = 1 cannot be reached on unbounded support: the hard cap is returned
-    and a DegenerateQuantileWarning is issued. The same applies whenever the
-    true quantile exceeds the cap.
+    probability), floored at 0. q = 1 cannot be reached on unbounded
+    support: the hard cap is returned and a DegenerateQuantileWarning is
+    issued. The same applies whenever the true quantile exceeds the cap.
     """
     if not (0.0 <= q <= 1.0):
         raise InvalidParams(f"quantile probability must lie in [0, 1], got {q}")

@@ -114,15 +114,6 @@ def revise_target(model: RevisionModel, actual: int) -> RevisedTarget:
     return RevisedTarget(actual=actual, revised=revised, family=model.family, q_internal=q)
 
 
-def bias_total(model: RevisionModel, target_grid: Sequence[int]) -> int:
-    """Sum of (actual - revised) across a target grid.
-
-    Positive totals mean the venue systematically overburdens the chasing
-    side at those scores.
-    """
-    return sum(actual - revise_target(model, actual).revised for actual in target_grid)
-
-
 @dataclass(frozen=True)
 class TargetCell:
     venue: str
@@ -135,6 +126,12 @@ class TargetCell:
 
 @dataclass(frozen=True)
 class BiasRow:
+    """Sum of (actual - revised) over the target grid at one venue and family.
+
+    Positive totals mean the venue systematically overburdens the chasing
+    side at those scores.
+    """
+
     venue: str
     family: Family
     total: int | None

@@ -257,6 +257,14 @@ class TestReport:
         body = [line for line in out.splitlines()[1:] if line and not line.startswith("venue,")]
         assert all(line.split(",")[1] == "negbin" for line in body)
 
+    def test_family_config_key_restricts(self, cli, data_csv, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"data = {data_csv}\nfamily = logistic\n")
+        code, out, _ = cli("report", "--config", str(cfg))
+        assert code == 0
+        body = [line for line in out.splitlines()[1:] if line and not line.startswith("venue,")]
+        assert body and {line.split(",")[1] for line in body} == {"logistic"}
+
     def test_target_grid_flag(self, cli, data_csv):
         code, out, _ = cli(
             "report", "--data", data_csv, "--family", "nb", "--target-grid", "310,320"

@@ -280,6 +280,75 @@ class TestNormalization:
         assert total <= 1.0 + 1e-9
 
 
+#: Negatives, 0, every score through 700, then a stride past the 512-entry
+#: table and its doublings up to 5000.
+ARRAY_SCORES = np.r_[-7, -3:700, 700:5000:37, 1023, 1024, 2047, 2048, 4095, 4096, 5000]
+
+
+def _nb_logpmf_magnitude(x: int, params: NegBinParams) -> float:
+    """Sum of the magnitudes nb_logpmf adds up; its rounding error is a few eps times this."""
+    n, p = params.n, params.p
+    return (
+        abs(math.lgamma(x + n)) + abs(math.lgamma(n)) + abs(math.lgamma(x + 1))
+        + abs(n * math.log(p)) + abs(x * math.log1p(-p))
+    )
+
+
+class TestArrayEvaluation:
+    """pmf/cdf/survival on an integer array against one scalar call per score."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.floats(min_value=1e-3, max_value=1e6),
+        p=st.floats(min_value=1e-4, max_value=0.999),
+        mu=st.floats(min_value=-100.0, max_value=1000.0),
+        sigma=st.floats(min_value=0.5, max_value=500.0),
+        s=st.floats(min_value=0.5, max_value=300.0),
+    )
+    def test_array_matches_scalar(self, n, p, mu, sigma, s):
+        xs = ARRAY_SCORES.tolist()
+        nb = FittedDist.negbin(n, p)
+        for dist in (nb, FittedDist.normal(mu, sigma), FittedDist.logistic(mu, s)):
+            assert cdf(dist, ARRAY_SCORES).tolist() == [cdf(dist, x) for x in xs]
+            assert survival(dist, ARRAY_SCORES).tolist() == [survival(dist, x) for x in xs]
+            if dist is not nb:
+                assert pmf(dist, ARRAY_SCORES).tolist() == [pmf(dist, x) for x in xs]
+
+        # nb_pmf differences log-gamma values in the thousands (millions for
+        # large n), so it alone is off by up to ~1e-11 relative at x = 5000
+        # (measured against 40-digit mpmath); the bound allows for that.
+        eps = sys.float_info.epsilon
+        for x, got in zip(xs, pmf(nb, ARRAY_SCORES).tolist()):
+            want = nb_pmf(x, nb.params)
+            if x < 0:
+                assert got == want == 0.0
+            elif want > 1e-300:
+                tol = 1e-12 + 8 * eps * _nb_logpmf_magnitude(x, nb.params)
+                assert abs(got - want) <= tol * want, (x, got, want)
+
+    @pytest.mark.parametrize(
+        "dist", [GEOMETRIC, FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)]
+    )
+    def test_shape_and_empty(self, dist):
+        grid = np.arange(-2, 10).reshape(3, 4)
+        for fn in (cdf, survival, pmf):
+            values = fn(dist, grid)
+            assert values.shape == (3, 4) and values.dtype == np.float64
+            assert values.tolist() == [[fn(dist, int(x)) for x in row] for row in grid]
+            assert fn(dist, np.array([], dtype=np.int64)).shape == (0,)
+
+    def test_non_integer_array_rejected(self):
+        for dist in (GEOMETRIC, FittedDist.normal(200.0, 30.0)):
+            for fn in (cdf, survival, pmf):
+                with pytest.raises(InvalidParams):
+                    fn(dist, np.array([1.0, 2.0]))
+
+    def test_nb_table_grows_once_to_the_largest_score(self):
+        dist = FittedDist.negbin(8.0, 0.004)  # mean 1992
+        cdf(dist, np.array([0, 3000]))
+        assert len(dist._cdf_table) == 4096
+
+
 def seeded_nb_sample(n: float, p: float, size: int, seed: int = 11) -> list[int]:
     return sample_scores(FittedDist.negbin(n, p), size, seed)
 

@@ -27,6 +27,10 @@ Floating-point values may move within these tolerances, no further:
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py
 --update`` only when an output change is intended, and name the changed
 files in CHANGES.md.
+
+The tests after the parity cases use the same data to check that curves
+and validate evaluate whole score ranges as arrays, byte for byte as the
+per-score calls would.
 """
 
 from __future__ import annotations
@@ -37,11 +41,15 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fairchase.cli import main
+import fairchase.distributions as distributions
+from fairchase import CaseLabel, categorize, fit, parse_family, parse_matches, survival
+from fairchase.cli import _CASE_COLUMNS, _FIT_ERRORS, _curves_csv, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN / "matches.csv"
@@ -187,6 +195,56 @@ def test_golden_output(name):
     code, text = run_case(entry["argv"])
     assert code == entry["exit"], f"{name}: exit code"
     compare(name, text, (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_curves_csv_bytes_match_scalar_formatting(family):
+    """Array survival and one row template give the bytes of per-score f"{v:.12g}"."""
+    dataset = categorize(parse_matches(DATA))
+    written = 0
+    for samples in dataset.values():
+        try:
+            fits = {label: fit(samples[label].scores, parse_family(family)) for label in CaseLabel}
+        except _FIT_ERRORS:
+            continue
+        lines = ["score," + ",".join(_CASE_COLUMNS[label] for label in CaseLabel)]
+        for score in range(-1, 1101):
+            values = ",".join(f"{survival(fits[label], score):.12g}" for label in CaseLabel)
+            lines.append(f"{score},{values}")
+        assert _curves_csv(fits, 1100) == "\n".join(lines) + "\n"
+        written += 1
+    assert written >= 5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("command", ["curves", "validate"])
+def test_no_per_score_evaluation(command, family, monkeypatch):
+    """curves and validate evaluate whole score ranges as arrays, not one call per score."""
+    calls: Counter = Counter()
+    real_cdf, real_logpmf = distributions.cdf, distributions.nb_logpmf
+
+    def counted_cdf(dist, x):
+        if not isinstance(x, np.ndarray):
+            calls["cdf"] += 1
+        return real_cdf(dist, x)
+
+    def counted_logpmf(x, params):
+        calls["nb_logpmf"] += 1
+        return real_logpmf(x, params)
+
+    monkeypatch.setattr(distributions, "cdf", counted_cdf)
+    monkeypatch.setattr(distributions, "nb_logpmf", counted_logpmf)
+    code, _ = run_case([command, "--family", family])
+    assert code == 0
+    assert calls["cdf"] < 100 and calls["nb_logpmf"] < 100, calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_validate_past_the_first_table(family):
+    """A quantile cap past several table doublings, and a one-point curve, pass the same checks."""
+    code, text = run_case(["validate", "--quantile-cap", "6000", "--curve-max-score", "0", "--family", family])
+    assert code == 0
+    assert text == (GOLDEN / f"validate_{family}.txt").read_text(encoding="utf-8")
 
 
 def _update() -> None:

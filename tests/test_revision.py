@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from fairchase import (
     SyntheticVenueSpec,
     TargetUnattainable,
     UnknownVenue,
-    bias_total,
     build_model,
     categorize,
     generate_synthetic_dataset,
@@ -37,7 +37,9 @@ WIN_DIST = FittedDist.negbin(8.0, 8.0 / 200.0)  # mean 192
 LOSE_DIST = FittedDist.negbin(8.0, 8.0 / 158.0)  # mean 150
 
 
-def counted_dataset(n_first_wins: int, n_second_wins: int, venue: str = "Alpha"):
+def counted_dataset(
+    n_first_wins: int, n_second_wins: int, venue: str = "Alpha", second_win_dist: FittedDist = WIN_DIST
+):
     """Synthetic dataset with exact decisive-win counts for one venue."""
     spec = SyntheticVenueSpec(
         venue=venue,
@@ -50,11 +52,17 @@ def counted_dataset(n_first_wins: int, n_second_wins: int, venue: str = "Alpha")
         case_dists={
             CaseLabel.BAT_FIRST_WIN: WIN_DIST,
             CaseLabel.BAT_SECOND_LOSE: LOSE_DIST,
-            CaseLabel.BAT_SECOND_WIN: WIN_DIST,
+            CaseLabel.BAT_SECOND_WIN: second_win_dist,
             CaseLabel.BAT_FIRST_LOSE: LOSE_DIST,
         },
     )
     return categorize(generate_synthetic_dataset([spec], seed=7))
+
+
+def bias_totals(dataset) -> dict[str, int | None]:
+    """Venue -> negative-binomial bias total over GRID, as revision_report sums it."""
+    report = revision_report(dataset, (Family.NEGBIN,), GRID)
+    return {row.venue: row.total for row in report.bias_rows}
 
 
 def identity_model(dist: FittedDist) -> RevisionModel:
@@ -251,24 +259,23 @@ class TestReviseTarget:
 
 class TestBiasTotal:
     def test_identity_model_bound(self):
-        model = identity_model(WIN_DIST)
-        assert abs(bias_total(model, GRID)) <= len(GRID)
+        # equal win counts and one sample for both winning cases: an identity model
+        samples = counted_dataset(88, 88)["Alpha"]
+        first = samples[CaseLabel.BAT_FIRST_WIN]
+        second = replace(first, case=CaseLabel.BAT_SECOND_WIN)
+        dataset = {"Alpha": {**samples, CaseLabel.BAT_SECOND_WIN: second}}
+        assert abs(bias_totals(dataset)["Alpha"]) <= len(GRID)
 
     def test_matches_per_target_sum(self):
-        model = build_model(counted_dataset(88, 61), "Alpha")
+        dataset = counted_dataset(88, 61)
+        model = build_model(dataset, "Alpha")
         expected = sum(a - revise_target(model, a).revised for a in GRID)
-        assert bias_total(model, GRID) == expected
+        assert bias_totals(dataset)["Alpha"] == expected
 
     def test_dominated_model_bias_positive(self):
-        model = RevisionModel(
-            venue="dom",
-            win_ratio=1.4,
-            dist_bat_first_win=WIN_DIST,
-            dist_bat_second_win=LOSE_DIST,
-            family=Family.NEGBIN,
-            quantile_cap=2000,
-        )
-        assert bias_total(model, GRID) > 0
+        # win ratio 1.4, and chasing winners score like the first-innings losers
+        dataset = counted_dataset(70, 50, second_win_dist=LOSE_DIST)
+        assert bias_totals(dataset)["Alpha"] > 0
 
 
 class TestRevisionReport:
