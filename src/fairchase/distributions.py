@@ -2,24 +2,22 @@
 
 Three families model innings totals: a negative binomial (the primary count
 model, fitted by maximum likelihood), plus normal and logistic comparators
-fitted by moments. The negative binomial's cdf, survival and quantile read a
-cumulative-mass table built from the pmf ratio of successive scores and
-cached on the fitted distribution (replaced whole, never mutated, so fitted
-distributions are immutable values safe to share across threads). pmf, cdf
-and survival take one integer score or an integer numpy array of them; an
-array gives a float array, each element equal to the scalar call, except
-that the negative binomial pmf reads the table's terms instead of log-gamma
-(the two agree to about 1e-11 relative at scores in the thousands).
+fitted by moments. The negative binomial's pmf sums the ratio of successive
+scores in log space; its cdf, survival and quantile read a cumulative-mass
+table of those terms, cached on the fitted distribution (replaced whole,
+never mutated, so fitted distributions are immutable values safe to share
+across threads). pmf, cdf and survival take one integer score or an integer
+numpy array of them and evaluate both the same way: one score gives a float,
+an array a float array of its shape.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
@@ -123,7 +121,7 @@ class FittedDist:
     degenerate: bool = False
     #: Negative binomial only: cumulative mass at 0, 1, ..., len - 1, grown
     #: on demand by _nb_cdf_table.
-    _cdf_table: list[float] | None = field(default=None, init=False, repr=False, compare=False)
+    _cdf_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = _PARAMS_BY_FAMILY[self.family]
@@ -169,7 +167,8 @@ DEFAULT_FIT_CONFIG = FitConfig()
 
 
 def nb_logpmf(x: int, params: NegBinParams) -> float:
-    """Log of the count pmf at x, evaluated through log-gamma for stability."""
+    """Log of the count pmf at x through log-gamma: the reference that tests
+    hold pmf to (pmf itself sums the ratio terms of _nb_log_terms)."""
     if x < 0:
         return -math.inf
     return (
@@ -182,7 +181,8 @@ def nb_logpmf(x: int, params: NegBinParams) -> float:
 
 
 def nb_pmf(x: int, params: NegBinParams) -> float:
-    """P(X = x) for the negative binomial count model; 0 for x < 0."""
+    """P(X = x) for the count model through log-gamma (the reference for
+    pmf); 0 for x < 0."""
     if x < 0:
         return 0.0
     return math.exp(nb_logpmf(x, params))
@@ -192,14 +192,18 @@ def nb_pmf(x: int, params: NegBinParams) -> float:
 _MIN_TABLE = 512
 
 
-def _nb_settled(table: list[float], params: NegBinParams) -> bool:
+def _past_mode(params: NegBinParams, x: int) -> bool:
+    """Whether every pmf term after score x is smaller than the one before."""
+    return x > (params.n * (1.0 - params.p) - 1.0) / params.p
+
+
+def _nb_settled(table: np.ndarray, params: NegBinParams) -> bool:
     """Whether every score past the table has the table's last value.
 
     Past the mode each pmf term is smaller than the one before, so once a
     term leaves the sum unchanged every later one does too.
     """
-    decreasing_from = (params.n * (1.0 - params.p) - 1.0) / params.p
-    return len(table) - 2 > decreasing_from and table[-1] == table[-2]
+    return _past_mode(params, table.size - 2) and table[-1] == table[-2]
 
 
 def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
@@ -217,7 +221,7 @@ def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
     return np.concatenate(([log_p0], log_pmf[:-1]))
 
 
-def _nb_cdf_table(dist: FittedDist, x: int) -> list[float]:
+def _nb_cdf_table(dist: FittedDist, x: int) -> np.ndarray:
     """The count model's cumulative-mass table, long enough to hold x or
     settled (see _nb_settled).
 
@@ -226,16 +230,32 @@ def _nb_cdf_table(dist: FittedDist, x: int) -> list[float]:
     """
     params = dist.params
     table = dist._cdf_table
-    if table is not None and (x < len(table) or _nb_settled(table, params)):
+    if table is not None and (x < table.size or _nb_settled(table, params)):
         return table
-    length = _MIN_TABLE if table is None else 2 * len(table)
+    length = _MIN_TABLE if table is None else 2 * table.size
     while True:
-        table = np.minimum(np.cumsum(np.exp(_nb_log_terms(params, length))), 1.0).tolist()
+        table = np.minimum(np.cumsum(np.exp(_nb_log_terms(params, length))), 1.0)
         if x < length or _nb_settled(table, params):
             break
         length *= 2
     object.__setattr__(dist, "_cdf_table", table)  # one assignment: readers see old or new
     return table
+
+
+def _nb_pmf(params: NegBinParams, x: np.ndarray) -> np.ndarray:
+    """The exponentiated terms of _nb_log_terms at every score of x.
+
+    The terms grow to the largest score, or until one past the mode has
+    underflowed to 0.0, after which every term is 0.0.
+    """
+    top = int(x.max(initial=0))
+    length = _MIN_TABLE
+    terms = np.exp(_nb_log_terms(params, length))
+    while length <= top and not (terms[-1] == 0.0 and _past_mode(params, length - 1)):
+        length *= 2
+        terms = np.exp(_nb_log_terms(params, length))
+    # take clips a negative score to index 0; the mask zeroes it
+    return terms.take(x, mode="clip") * (x >= 0)
 
 
 def _normal_cdf(p: NormalParams, x: int) -> float:
@@ -251,49 +271,44 @@ def _logistic_cdf(p: LogisticParams, x: int) -> float:
     return e / (1.0 + e)
 
 
-def _score_array(x: np.ndarray) -> np.ndarray:
+#: Largest int64; a Python int score past it (either way) is clamped to it,
+#: where every family already reads its far-tail value.
+_SCORE_LIMIT = 2**63 - 1
+
+
+def _score_array(x: int | np.ndarray) -> np.ndarray:
+    """Scores as an int64 array; a Python int becomes a 0-d array."""
+    if isinstance(x, int):
+        return np.array(min(max(x, -_SCORE_LIMIT), _SCORE_LIMIT), dtype=np.int64)
+    x = np.asarray(x)
     if x.dtype.kind not in "iu":
-        raise InvalidParams(f"scores must be an integer array, got dtype {x.dtype}")
+        raise InvalidParams(f"scores must be integers, got dtype {x.dtype}")
     return x.astype(np.int64, copy=False)
 
 
-def _cdf_array(dist: FittedDist, x: np.ndarray) -> np.ndarray:
-    """cdf at every score of an integer array, each element equal to the scalar call."""
-    x = _score_array(x)
-    p = dist.params
-    if isinstance(p, NegBinParams):
-        top = int(x.max()) if x.size else 0
-        table = np.asarray(_nb_cdf_table(dist, top))
-        return np.where(x < 0, 0.0, table[np.clip(x, 0, table.size - 1)])
-    family_cdf = _normal_cdf if isinstance(p, NormalParams) else _logistic_cdf
-    values = [0.0 if v < 0 else family_cdf(p, v) for v in x.ravel().tolist()]
-    return np.array(values, dtype=float).reshape(x.shape)
+def _result(values: np.ndarray) -> float | np.ndarray:
+    """A float for a single score, the array otherwise."""
+    return values if values.ndim else float(values)
 
 
 def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     """P(X <= x). Scores are non-negative, so any x < 0 returns 0.
 
     The negative binomial reads a cumulative-mass table held by the fitted
-    distribution: the pmf summed in order from 0 to x. The continuous
-    families evaluate their analytic CDF directly at integer x, with no
-    continuity correction. An integer array gives a float array: the
-    negative binomial grows its table once, to the largest score, and
-    indexes it.
+    distribution: the pmf summed in order from 0 to x, grown to the largest
+    score asked for. The continuous families evaluate their analytic CDF
+    directly at integer x, with no continuity correction. One integer gives
+    a float; an integer array gives a float array of its shape.
     """
-    if isinstance(x, np.ndarray):
-        return _cdf_array(dist, x)
-    if x < 0:
-        return 0.0
+    x = _score_array(x)
     p = dist.params
     if isinstance(p, NegBinParams):
-        table = dist._cdf_table
-        if table is None or x >= len(table):
-            table = _nb_cdf_table(dist, x)
-            x = min(x, len(table) - 1)
-        return table[x]
-    if isinstance(p, NormalParams):
-        return _normal_cdf(p, x)
-    return _logistic_cdf(p, x)
+        table = _nb_cdf_table(dist, int(x.max(initial=0)))
+        # take clips a negative score to index 0; the mask zeroes it
+        return _result(table.take(x, mode="clip") * (x >= 0))
+    family_cdf = _normal_cdf if isinstance(p, NormalParams) else _logistic_cdf
+    values = [0.0 if v < 0 else family_cdf(p, v) for v in x.ravel().tolist()]
+    return _result(np.array(values, dtype=float).reshape(x.shape))
 
 
 def survival(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
@@ -304,20 +319,14 @@ def survival(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
 def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     """Probability mass at integer x, or at every score of an integer array.
 
-    Exact for the negative binomial; for the continuous comparators this is
-    the unit-step mass cdf(x) - cdf(x - 1), which is the resolution limit of
-    any integer-valued inversion. A negative binomial array exponentiates the
-    log-pmf terms its cumulative-mass table sums, rather than calling nb_pmf.
+    Exact for the negative binomial, read from the same ratio terms its
+    cumulative-mass table sums; for the continuous comparators this is the
+    unit-step mass cdf(x) - cdf(x - 1), which is the resolution limit of any
+    integer-valued inversion.
     """
+    x = _score_array(x)
     if isinstance(dist.params, NegBinParams):
-        if not isinstance(x, np.ndarray):
-            return nb_pmf(x, dist.params)
-        x = _score_array(x)
-        length = _MIN_TABLE
-        while x.size and length <= x.max():
-            length *= 2
-        terms = np.exp(_nb_log_terms(dist.params, length))
-        return np.where(x < 0, 0.0, terms[np.maximum(x, 0)])
+        return _result(_nb_pmf(dist.params, x))
     return cdf(dist, x) - cdf(dist, x - 1)
 
 
@@ -329,7 +338,8 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
     analytic inverse CDF (so the returned score never understates the
     probability), floored at 0. q = 1 cannot be reached on unbounded
     support: the hard cap is returned and a DegenerateQuantileWarning is
-    issued. The same applies whenever the true quantile exceeds the cap.
+    issued. The same applies whenever the true quantile exceeds the cap, or
+    a settled negative binomial table stays below q.
     """
     if not (0.0 <= q <= 1.0):
         raise InvalidParams(f"quantile probability must lie in [0, 1], got {q}")
@@ -345,34 +355,22 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
 
     p = dist.params
     if isinstance(p, NormalParams):
-        raw = p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q)
-        return _clip_to_cap(math.ceil(raw), cap)
-    if isinstance(p, LogisticParams):
-        raw = p.mu + p.s * (math.log(q) - math.log1p(-q))
-        return _clip_to_cap(math.ceil(raw), cap)
-
-    table = _nb_cdf_table(dist, 0)
-    x = bisect.bisect_left(table, q)
-    while x == len(table) and x <= cap and not _nb_settled(table, p):
-        table = _nb_cdf_table(dist, x)
-        x = bisect.bisect_left(table, q)
+        x = math.ceil(p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q))
+    elif isinstance(p, LogisticParams):
+        x = math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
+    else:
+        table = _nb_cdf_table(dist, 0)
+        while table[-1] < q and table.size <= cap and not _nb_settled(table, p):
+            table = _nb_cdf_table(dist, table.size)
+        x = int(np.searchsorted(table, q))
+        if x == table.size:  # no score reaches q
+            x = cap + 1
     if x > cap:
         warnings.warn(
             f"quantile({q}) exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=2
         )
         return cap
-    return x
-
-
-def _clip_to_cap(x: int, cap: int) -> int:
-    if x < 0:
-        return 0
-    if x > cap:
-        warnings.warn(
-            f"quantile exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=3
-        )
-        return cap
-    return x
+    return max(x, 0)
 
 
 def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:
@@ -546,18 +544,11 @@ def fit(scores: Sequence[int], family: Family, config: FitConfig = DEFAULT_FIT_C
 
 def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
     """JSON-ready document for one labeled fit."""
-    params = dist.params
-    if isinstance(params, NegBinParams):
-        param_doc = {"n": params.n, "p": params.p}
-    elif isinstance(params, NormalParams):
-        param_doc = {"mu": params.mu, "sigma": params.sigma}
-    else:
-        param_doc = {"mu": params.mu, "s": params.s}
     return {
         "venue": venue,
         "case": case,
         "family": dist.family.value,
-        "params": param_doc,
+        "params": asdict(dist.params),
         "sample_size": dist.sample_size,
         "log_likelihood": dist.log_likelihood,
         "degenerate_flag": dist.degenerate,

@@ -15,13 +15,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .distributions import (
-    Family,
-    FittedDist,
-    LogisticParams,
-    NegBinParams,
-    NormalParams,
-)
+from .distributions import FittedDist, NegBinParams, NormalParams
 from .errors import FairchaseError, InconsistentSpec
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
@@ -37,15 +31,12 @@ def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     params = dist.params
-    if dist.family is Family.NEGBIN:
-        assert isinstance(params, NegBinParams)
+    if isinstance(params, NegBinParams):
         lam = rng.gamma(shape=params.n, scale=(1.0 - params.p) / params.p, size=count)
         return rng.poisson(lam).astype(np.int64)
-    if dist.family is Family.NORMAL:
-        assert isinstance(params, NormalParams)
+    if isinstance(params, NormalParams):
         values = rng.normal(params.mu, params.sigma, size=count)
     else:
-        assert isinstance(params, LogisticParams)
         values = rng.logistic(params.mu, params.s, size=count)
     # ceil(X) > t exactly when X > t, so the integer draws exceed a target
     # with the probability survival() reports, 1 - F(t) at integer t
@@ -198,6 +189,14 @@ def _draw_match_pair(
     )
 
 
+#: The two kinds of decisive match, drawn in this order at each venue:
+#: winning case, losing case, outcome and match-id tag.
+_MATCH_KINDS = (
+    (CaseLabel.BAT_FIRST_WIN, CaseLabel.BAT_SECOND_LOSE, Outcome.BAT_FIRST_WIN, "bfw"),
+    (CaseLabel.BAT_SECOND_WIN, CaseLabel.BAT_FIRST_LOSE, Outcome.BAT_SECOND_WIN, "bsw"),
+)
+
+
 def generate_synthetic_dataset(
     specs: Sequence[SyntheticVenueSpec], seed: Seed
 ) -> list[MatchRecord]:
@@ -213,40 +212,23 @@ def generate_synthetic_dataset(
     records: list[MatchRecord] = []
     for spec, stream in zip(specs, streams):
         rng = np.random.default_rng(stream)
-        for i in range(spec.count(CaseLabel.BAT_FIRST_WIN)):
-            winner, loser = _draw_match_pair(
-                rng,
-                spec.case_dists[CaseLabel.BAT_FIRST_WIN],
-                spec.case_dists[CaseLabel.BAT_SECOND_LOSE],
-            )
-            records.append(
-                MatchRecord(
-                    match_id=f"{spec.venue}-bfw-{i:04d}",
-                    venue=spec.venue,
-                    date=None,
-                    first_innings_runs=winner,
-                    second_innings_runs=loser,
-                    outcome=Outcome.BAT_FIRST_WIN,
-                    reduced_overs=False,
+        for win_label, lose_label, outcome, tag in _MATCH_KINDS:
+            for i in range(spec.count(win_label)):
+                winner, loser = _draw_match_pair(
+                    rng, spec.case_dists[win_label], spec.case_dists[lose_label]
                 )
-            )
-        for i in range(spec.count(CaseLabel.BAT_SECOND_WIN)):
-            winner, loser = _draw_match_pair(
-                rng,
-                spec.case_dists[CaseLabel.BAT_SECOND_WIN],
-                spec.case_dists[CaseLabel.BAT_FIRST_LOSE],
-            )
-            records.append(
-                MatchRecord(
-                    match_id=f"{spec.venue}-bsw-{i:04d}",
-                    venue=spec.venue,
-                    date=None,
-                    first_innings_runs=loser,
-                    second_innings_runs=winner,
-                    outcome=Outcome.BAT_SECOND_WIN,
-                    reduced_overs=False,
+                first, second = (winner, loser) if outcome is Outcome.BAT_FIRST_WIN else (loser, winner)
+                records.append(
+                    MatchRecord(
+                        match_id=f"{spec.venue}-{tag}-{i:04d}",
+                        venue=spec.venue,
+                        date=None,
+                        first_innings_runs=first,
+                        second_innings_runs=second,
+                        outcome=outcome,
+                        reduced_overs=False,
+                    )
                 )
-            )
     return records
 
 

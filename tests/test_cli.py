@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import importlib
 import inspect
 import io
@@ -312,6 +313,12 @@ class TestGenerate:
         records = parse_matches(path_a)
         assert len(records) == 120
         assert len({r.venue for r in records}) == 3
+
+    def test_output_bytes_pinned(self, cli, tmp_path):
+        path = tmp_path / "g.csv"
+        cli("generate", "--num-venues", "3", "--matches", "40", "--seed", "5", "--out", str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "00b9f13fd530b4df428d68792ea891745bad15423d1194fe4dcaeda39ed7e85d"
 
     def test_stdout_default(self, cli):
         code, out, _ = cli("generate", "--num-venues", "1", "--matches", "10", "--seed", "0")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairchase.distributions as distributions
 from fairchase import (
     DegenerateQuantileWarning,
     Family,
@@ -236,6 +237,27 @@ class TestQuantile:
         with pytest.warns(DegenerateQuantileWarning):
             assert quantile(FittedDist.negbin(8.0, 0.04), 1.0 - 1e-300, cap=50) == 50
 
+    def test_nb_past_a_settled_table_hits_the_cap(self):
+        dist = FittedDist.negbin(20.0, 0.1)
+        assert cdf(dist, 10**9) == 0.9999999999999973
+        with pytest.warns(DegenerateQuantileWarning, match=r"quantile\(0\.9999999999999974\)"):
+            assert quantile(dist, 0.9999999999999974, cap=2000) == 2000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.floats(min_value=0.5, max_value=200.0),
+        mean=st.floats(min_value=1.0, max_value=400.0),
+    )
+    def test_nb_adjunction_just_above_the_settled_table(self, n, mean):
+        """Either cdf(quantile(q)) >= q, or the quantile is the cap and says so."""
+        dist = FittedDist.negbin(n, n / (n + mean))
+        q = math.nextafter(cdf(dist, 10**9), 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = quantile(dist, q, cap=2000)
+        warned = any(issubclass(w.category, DegenerateQuantileWarning) for w in caught)
+        assert cdf(dist, x) >= q or (x == 2000 and warned), (x, q)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.floats(min_value=0.5, max_value=50.0),
@@ -311,8 +333,7 @@ class TestArrayEvaluation:
         for dist in (nb, FittedDist.normal(mu, sigma), FittedDist.logistic(mu, s)):
             assert cdf(dist, ARRAY_SCORES).tolist() == [cdf(dist, x) for x in xs]
             assert survival(dist, ARRAY_SCORES).tolist() == [survival(dist, x) for x in xs]
-            if dist is not nb:
-                assert pmf(dist, ARRAY_SCORES).tolist() == [pmf(dist, x) for x in xs]
+            assert pmf(dist, ARRAY_SCORES).tolist() == [pmf(dist, x) for x in xs]
 
         # nb_pmf differences log-gamma values in the thousands (millions for
         # large n), so it alone is off by up to ~1e-11 relative at x = 5000
@@ -342,6 +363,43 @@ class TestArrayEvaluation:
             for fn in (cdf, survival, pmf):
                 with pytest.raises(InvalidParams):
                     fn(dist, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "dist", [GEOMETRIC, FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)]
+    )
+    def test_non_integer_score_rejected(self, dist):
+        for fn in (cdf, survival, pmf):
+            with pytest.raises(InvalidParams):
+                fn(dist, 5.0)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [FittedDist.negbin(8.0, 0.04), FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)],
+    )
+    def test_scores_past_the_int64_range(self, dist):
+        """Scores beyond int64 read the far-tail values; the results are floats."""
+        top = cdf(dist, 10**9)
+        for fn, far, below in ((cdf, top, 0.0), (survival, 1.0 - top, 1.0), (pmf, 0.0, 0.0)):
+            assert type(fn(dist, 10**20)) is float
+            assert fn(dist, 10**20) == far
+            assert fn(dist, -(10**20)) == below
+        assert top == 1.0
+
+    def test_nb_pmf_stops_growing_once_terms_underflow(self, monkeypatch):
+        """Past the mode a term that has underflowed to 0.0 ends the growth:
+        every later score is 0.0, as nb_pmf returns there."""
+        lengths = []
+        real_terms = distributions._nb_log_terms
+
+        def recorded(params, length):
+            lengths.append(length)
+            return real_terms(params, length)
+
+        monkeypatch.setattr(distributions, "_nb_log_terms", recorded)
+        dist = FittedDist.negbin(8.0, 0.04)
+        assert pmf(dist, np.array([2**20])).tolist() == [0.0] == [nb_pmf(2**20, dist.params)]
+        # the first term to underflow is at score 19104, inside the 32768-entry array
+        assert 0 < max(lengths) <= 32768
 
     def test_nb_table_grows_once_to_the_largest_score(self):
         dist = FittedDist.negbin(8.0, 0.004)  # mean 1992

@@ -247,6 +247,13 @@ def test_validate_past_the_first_table(family):
     assert text == (GOLDEN / f"validate_{family}.txt").read_text(encoding="utf-8")
 
 
+def test_revise_past_the_int64_range():
+    """A target beyond int64 reads the settled far tail of the fitted curve."""
+    code, text = run_case(["revise", "--venue", "overall", "--target", str(10**20)])
+    assert code == 0
+    assert text.splitlines()[-1] == "overall,negbin,100000000000000000000,1038,1.000000"
+
+
 def _update() -> None:
     index = {}
     for name, argv in golden_cases().items():
