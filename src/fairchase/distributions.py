@@ -363,7 +363,7 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
         while table[-1] < q and table.size <= cap and not _nb_settled(table, p):
             table = _nb_cdf_table(dist, table.size)
         x = int(np.searchsorted(table, q))
-        if x == table.size:  # no score reaches q
+        if x == table.size:  # the table settled below q, or ran past the cap
             x = cap + 1
     if x > cap:
         warnings.warn(

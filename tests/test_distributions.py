@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairchase.distributions as distributions
@@ -237,17 +237,21 @@ class TestQuantile:
         with pytest.warns(DegenerateQuantileWarning):
             assert quantile(FittedDist.negbin(8.0, 0.04), 1.0 - 1e-300, cap=50) == 50
 
-    def test_nb_past_a_settled_table_hits_the_cap(self):
-        dist = FittedDist.negbin(20.0, 0.1)
-        assert cdf(dist, 10**9) == 0.9999999999999973
-        with pytest.warns(DegenerateQuantileWarning, match=r"quantile\(0\.9999999999999974\)"):
-            assert quantile(dist, 0.9999999999999974, cap=2000) == 2000
+    @pytest.mark.parametrize(
+        "dist",
+        [FittedDist.negbin(8.0, 0.04), FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)],
+    )
+    def test_cap_warning_names_q(self, dist):
+        q = 1.0 - 1e-12
+        with pytest.warns(DegenerateQuantileWarning, match=rf"^quantile\({q}\) exceeds the hard cap 50$"):
+            assert quantile(dist, q, cap=50) == 50
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.floats(min_value=0.5, max_value=200.0),
         mean=st.floats(min_value=1.0, max_value=400.0),
     )
+    @example(n=20.0, mean=180.0)  # p = 0.1: the table settles at 0.9999999999999973
     def test_nb_adjunction_just_above_the_settled_table(self, n, mean):
         """Either cdf(quantile(q)) >= q, or the quantile is the cap and says so."""
         dist = FittedDist.negbin(n, n / (n + mean))
