@@ -4,11 +4,11 @@ Three families model innings totals: a negative binomial (the primary count
 model, fitted by maximum likelihood), plus normal and logistic comparators
 fitted by moments. The negative binomial's pmf sums the ratio of successive
 scores in log space; its cdf, survival and quantile read a cumulative-mass
-table of those terms, cached on the fitted distribution (replaced whole,
-never mutated, so fitted distributions are immutable values safe to share
-across threads). pmf, cdf and survival take one integer score or an integer
-numpy array of them and evaluate both the same way: one score gives a float,
-an array a float array of its shape.
+table of those terms. Terms and table are cached together on the fitted
+distribution (replaced whole, never mutated, so fitted distributions are
+immutable values safe to share across threads). pmf, cdf and survival take
+one integer score or an integer numpy array of them and evaluate both the
+same way: one score gives a float, an array a float array of its shape.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import statistics
 import warnings
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -119,9 +119,11 @@ class FittedDist:
     sample_size: int = 0
     log_likelihood: float = 0.0
     degenerate: bool = False
-    #: Negative binomial only: cumulative mass at 0, 1, ..., len - 1, grown
-    #: on demand by _nb_cdf_table.
-    _cdf_table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    #: Negative binomial only: pmf terms and cumulative mass at 0, 1, ...,
+    #: len - 1, grown together on demand by _nb_arrays.
+    _nb_cache: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         expected = _PARAMS_BY_FAMILY[self.family]
@@ -197,13 +199,19 @@ def _past_mode(params: NegBinParams, x: int) -> bool:
     return x > (params.n * (1.0 - params.p) - 1.0) / params.p
 
 
-def _nb_settled(table: np.ndarray, params: NegBinParams) -> bool:
+def _nb_settled(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
     """Whether every score past the table has the table's last value.
 
     Past the mode each pmf term is smaller than the one before, so once a
     term leaves the sum unchanged every later one does too.
     """
     return _past_mode(params, table.size - 2) and table[-1] == table[-2]
+
+
+def _nb_underflowed(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
+    """Whether every pmf term past the array is 0.0: the last one has
+    underflowed past the mode, where the terms only shrink."""
+    return terms[-1] == 0.0 and _past_mode(params, terms.size - 1)
 
 
 def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
@@ -221,41 +229,28 @@ def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
     return np.concatenate(([log_p0], log_pmf[:-1]))
 
 
-def _nb_cdf_table(dist: FittedDist, x: int) -> np.ndarray:
-    """The count model's cumulative-mass table, long enough to hold x or
-    settled (see _nb_settled).
+def _nb_arrays(
+    dist: FittedDist, x: int, done: Callable[[NegBinParams, np.ndarray, np.ndarray], bool]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count model's pmf terms and cumulative-mass table, long enough to
+    hold score x or until done(params, terms, table) holds.
 
-    The pmf terms of _nb_log_terms are summed in order and clipped at 1.
-    Every length is computed from scratch.
+    The terms are the exponentiated _nb_log_terms; the table sums them in
+    order and clips at 1. Every length is computed from scratch.
     """
     params = dist.params
-    table = dist._cdf_table
-    if table is not None and (x < table.size or _nb_settled(table, params)):
-        return table
-    length = _MIN_TABLE if table is None else 2 * table.size
+    arrays = dist._nb_cache
+    if arrays is not None and (x < arrays[0].size or done(params, *arrays)):
+        return arrays
+    length = _MIN_TABLE if arrays is None else 2 * arrays[0].size
     while True:
-        table = np.minimum(np.cumsum(np.exp(_nb_log_terms(params, length))), 1.0)
-        if x < length or _nb_settled(table, params):
+        terms = np.exp(_nb_log_terms(params, length))
+        arrays = terms, np.minimum(np.cumsum(terms), 1.0)
+        if x < length or done(params, *arrays):
             break
         length *= 2
-    object.__setattr__(dist, "_cdf_table", table)  # one assignment: readers see old or new
-    return table
-
-
-def _nb_pmf(params: NegBinParams, x: np.ndarray) -> np.ndarray:
-    """The exponentiated terms of _nb_log_terms at every score of x.
-
-    The terms grow to the largest score, or until one past the mode has
-    underflowed to 0.0, after which every term is 0.0.
-    """
-    top = int(x.max(initial=0))
-    length = _MIN_TABLE
-    terms = np.exp(_nb_log_terms(params, length))
-    while length <= top and not (terms[-1] == 0.0 and _past_mode(params, length - 1)):
-        length *= 2
-        terms = np.exp(_nb_log_terms(params, length))
-    # take clips a negative score to index 0; the mask zeroes it
-    return terms.take(x, mode="clip") * (x >= 0)
+    object.__setattr__(dist, "_nb_cache", arrays)  # one assignment: readers see old or new
+    return arrays
 
 
 def _normal_cdf(p: NormalParams, x: int) -> float:
@@ -271,8 +266,8 @@ def _logistic_cdf(p: LogisticParams, x: int) -> float:
     return e / (1.0 + e)
 
 
-#: Largest int64; a Python int score past it (either way) is clamped to it,
-#: where every family already reads its far-tail value.
+#: Largest int64; a Python int or unsigned score past it (either way) is
+#: clamped to it, where every family already reads its far-tail value.
 _SCORE_LIMIT = 2**63 - 1
 
 
@@ -283,6 +278,8 @@ def _score_array(x: int | np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise InvalidParams(f"scores must be integers, got dtype {x.dtype}")
+    if x.dtype.kind == "u":
+        x = np.minimum(x, _SCORE_LIMIT)
     return x.astype(np.int64, copy=False)
 
 
@@ -303,7 +300,7 @@ def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     x = _score_array(x)
     p = dist.params
     if isinstance(p, NegBinParams):
-        table = _nb_cdf_table(dist, int(x.max(initial=0)))
+        _, table = _nb_arrays(dist, int(x.max(initial=0)), _nb_settled)
         # take clips a negative score to index 0; the mask zeroes it
         return _result(table.take(x, mode="clip") * (x >= 0))
     family_cdf = _normal_cdf if isinstance(p, NormalParams) else _logistic_cdf
@@ -326,7 +323,10 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     """
     x = _score_array(x)
     if isinstance(dist.params, NegBinParams):
-        return _result(_nb_pmf(dist.params, x))
+        terms, _ = _nb_arrays(dist, int(x.max(initial=0)), _nb_underflowed)
+        # take clips a negative score to index 0, which the mask zeroes, and a
+        # score past an underflowed array to its last term, 0.0
+        return _result(terms.take(x, mode="clip") * (x >= 0))
     return cdf(dist, x) - cdf(dist, x - 1)
 
 
@@ -359,9 +359,9 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
     elif isinstance(p, LogisticParams):
         x = math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
     else:
-        table = _nb_cdf_table(dist, 0)
-        while table[-1] < q and table.size <= cap and not _nb_settled(table, p):
-            table = _nb_cdf_table(dist, table.size)
+        terms, table = _nb_arrays(dist, 0, _nb_settled)
+        while table[-1] < q and table.size <= cap and not _nb_settled(p, terms, table):
+            terms, table = _nb_arrays(dist, table.size, _nb_settled)
         x = int(np.searchsorted(table, q))
         if x == table.size:  # the table settled below q, or ran past the cap
             x = cap + 1

@@ -190,10 +190,11 @@ def _draw_match_pair(
 
 
 #: The two kinds of decisive match, drawn in this order at each venue:
-#: winning case, losing case, outcome and match-id tag.
+#: winning case, losing case, outcome, match-id tag, and the step that puts
+#: a (winner, loser) pair in innings order.
 _MATCH_KINDS = (
-    (CaseLabel.BAT_FIRST_WIN, CaseLabel.BAT_SECOND_LOSE, Outcome.BAT_FIRST_WIN, "bfw"),
-    (CaseLabel.BAT_SECOND_WIN, CaseLabel.BAT_FIRST_LOSE, Outcome.BAT_SECOND_WIN, "bsw"),
+    (CaseLabel.BAT_FIRST_WIN, CaseLabel.BAT_SECOND_LOSE, Outcome.BAT_FIRST_WIN, "bfw", 1),
+    (CaseLabel.BAT_SECOND_WIN, CaseLabel.BAT_FIRST_LOSE, Outcome.BAT_SECOND_WIN, "bsw", -1),
 )
 
 
@@ -212,12 +213,10 @@ def generate_synthetic_dataset(
     records: list[MatchRecord] = []
     for spec, stream in zip(specs, streams):
         rng = np.random.default_rng(stream)
-        for win_label, lose_label, outcome, tag in _MATCH_KINDS:
+        for win_label, lose_label, outcome, tag, innings_order in _MATCH_KINDS:
             for i in range(spec.count(win_label)):
-                winner, loser = _draw_match_pair(
-                    rng, spec.case_dists[win_label], spec.case_dists[lose_label]
-                )
-                first, second = (winner, loser) if outcome is Outcome.BAT_FIRST_WIN else (loser, winner)
+                winner_dist, loser_dist = spec.case_dists[win_label], spec.case_dists[lose_label]
+                first, second = _draw_match_pair(rng, winner_dist, loser_dist)[::innings_order]
                 records.append(
                     MatchRecord(
                         match_id=f"{spec.venue}-{tag}-{i:04d}",

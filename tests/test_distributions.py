@@ -158,7 +158,7 @@ class TestCdfSurvival:
         dist = FittedDist.negbin(8.0, 0.04)
         assert cdf(dist, 10**9) == cdf(dist, 5000)
         assert cdf(dist, 10**9) == pytest.approx(1.0, abs=1e-12)
-        assert len(dist._cdf_table) <= 4096
+        assert len(dist._nb_cache[1]) <= 4096
 
     def test_nb_cdf_shared_across_threads(self):
         reference = FittedDist.negbin(3.0, 0.02)
@@ -387,6 +387,9 @@ class TestArrayEvaluation:
             assert type(fn(dist, 10**20)) is float
             assert fn(dist, 10**20) == far
             assert fn(dist, -(10**20)) == below
+            unsigned = np.array([2**63, 2**64 - 1], dtype=np.uint64)
+            assert fn(dist, unsigned).tolist() == [far, far]
+            assert fn(dist, np.uint64(2**63)) == far
         assert top == 1.0
 
     def test_nb_pmf_stops_growing_once_terms_underflow(self, monkeypatch):
@@ -405,10 +408,26 @@ class TestArrayEvaluation:
         # the first term to underflow is at score 19104, inside the 32768-entry array
         assert 0 < max(lengths) <= 32768
 
+    def test_nb_scalar_pmf_reads_the_cached_terms(self, monkeypatch):
+        """One score at a time builds each power-of-two array once, shared with cdf."""
+        lengths = []
+        real_terms = distributions._nb_log_terms
+
+        def recorded(params, length):
+            lengths.append(length)
+            return real_terms(params, length)
+
+        monkeypatch.setattr(distributions, "_nb_log_terms", recorded)
+        dist = FittedDist.negbin(8.0, 0.04)
+        values = [pmf(dist, x) for x in range(1500)]
+        assert [cdf(dist, x) for x in range(1500)] == cdf(dist, np.arange(1500)).tolist()
+        assert lengths == [512, 1024, 2048]
+        assert values == pmf(dist, np.arange(1500)).tolist()
+
     def test_nb_table_grows_once_to_the_largest_score(self):
         dist = FittedDist.negbin(8.0, 0.004)  # mean 1992
         cdf(dist, np.array([0, 3000]))
-        assert len(dist._cdf_table) == 4096
+        assert len(dist._nb_cache[1]) == 4096
 
 
 def seeded_nb_sample(n: float, p: float, size: int, seed: int = 11) -> list[int]:

@@ -219,24 +219,24 @@ def test_curves_csv_bytes_match_scalar_formatting(family):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("command", ["curves", "validate"])
 def test_no_per_score_evaluation(command, family, monkeypatch):
-    """curves and validate evaluate whole score ranges as arrays, not one call per score."""
+    """curves and validate evaluate whole score ranges as arrays, not one call per score.
+
+    Every pmf, cdf and survival call of every family passes its scores
+    through distributions._score_array, so a 0-d score there is one
+    per-score call.
+    """
     calls: Counter = Counter()
-    real_cdf, real_logpmf = distributions.cdf, distributions.nb_logpmf
+    real_score_array = distributions._score_array
 
-    def counted_cdf(dist, x):
-        if not isinstance(x, np.ndarray):
-            calls["cdf"] += 1
-        return real_cdf(dist, x)
+    def counted_score_array(x):
+        if np.ndim(x) == 0:
+            calls["scalar"] += 1
+        return real_score_array(x)
 
-    def counted_logpmf(x, params):
-        calls["nb_logpmf"] += 1
-        return real_logpmf(x, params)
-
-    monkeypatch.setattr(distributions, "cdf", counted_cdf)
-    monkeypatch.setattr(distributions, "nb_logpmf", counted_logpmf)
+    monkeypatch.setattr(distributions, "_score_array", counted_score_array)
     code, _ = run_case([command, "--family", family])
     assert code == 0
-    assert calls["cdf"] < 100 and calls["nb_logpmf"] < 100, calls
+    assert calls["scalar"] < 100, calls
 
 
 @pytest.mark.parametrize("family", FAMILIES)
