@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from fairchase import (
     serialize_matches,
     survival,
 )
+from fairchase import simulate
+from fairchase.simulate import _draw, _draw_match_pair
 
 NB_MODEL = FittedDist.negbin(8.0, 0.04)  # mean 192
 
@@ -234,3 +238,103 @@ class TestSyntheticData:
                 assert rec.second_innings_runs < rec.first_innings_runs
             else:
                 assert rec.second_innings_runs > rec.first_innings_runs
+
+
+def fixed_winner(score: int) -> FittedDist:
+    """A winner law that always draws score (ceil of a normal within 1e-6 of
+    score - 0.5)."""
+    return FittedDist.normal(score - 0.5, 1e-6)
+
+
+def far_losers(family: Family) -> FittedDist:
+    """A loser law whose mean sits 1000 runs above a winner of 20."""
+    if family is Family.NEGBIN:
+        return FittedDist.negbin(8.0, 8.0 / 1008.0)
+    if family is Family.NORMAL:
+        return FittedDist.normal(1000.0, 100.0)
+    return FittedDist.logistic(1000.0, 55.0)
+
+
+class TestDrawStream:
+    """One scalar draw takes the generator stream exactly as an array of one."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_scalar_draw_equals_array_of_one(self, family):
+        dist = {
+            Family.NEGBIN: NB_MODEL,
+            Family.NORMAL: FittedDist.normal(192.0, 45.0),
+            Family.LOGISTIC: FittedDist.logistic(192.0, 25.0),
+        }[family]
+        rng, rng2 = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(200):
+            score = _draw(rng, dist)
+            assert type(score) is int
+            assert score == int(_draw(rng2, dist, 1)[0])
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+class TestGenerateNeverGivesUp:
+    #: sha256 of serialize_matches at 10 venues x 1000 matches, recorded
+    #: before the scalar draw and the truncated fallback went in
+    PINNED = {
+        0: "d58d5869e572a225dfddfc39a0731b0ea119b8df7ab850077da22914f10a8e7c",
+        1: "57289c11763f1eb3be00a6ce97c73c5baa70301b7887432167a0b6a133349c94",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_stream_pinned_at_benchmark_scale(self, seed):
+        records = generate_synthetic_dataset(default_synthetic_spec(10, 1000), seed)
+        digest = hashlib.sha256(serialize_matches(records).encode()).hexdigest()
+        assert digest == self.PINNED[seed]
+
+    def test_seed_that_exhausted_rejection_completes(self):
+        # seed 7 once gave up on a loser below a winner of 20 after 10 000 draws
+        records = generate_synthetic_dataset(default_synthetic_spec(10, 1000), 7)
+        assert len(records) == 10_000
+        assert all(r.first_innings_runs != r.second_innings_runs for r in records)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_unmodified_loop_falls_back(self, family):
+        # every loser draw fails here, so each pair comes from the fallback
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            assert _draw_match_pair(rng, fixed_winner(20), far_losers(family)) < (20, 20)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_fallback_losers_follow_truncated_pmf(self, family, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 2)
+        loser_dist = far_losers(family)
+        rng = np.random.default_rng(29)
+        draws = 4000
+        losers = np.array([_draw_match_pair(rng, fixed_winner(20), loser_dist)[1] for _ in range(draws)])
+        support = np.arange(20)
+        truncated = np.cumsum(pmf(loser_dist, support)) / cdf(loser_dist, 19)
+        empirical = np.cumsum(np.bincount(losers, minlength=20)) / draws
+        # Kolmogorov-Smirnov at the 1% level (conservative for a discrete law)
+        assert np.max(np.abs(empirical - truncated)) < 1.63 / np.sqrt(draws)
+
+    @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGISTIC])
+    def test_continuous_fallback_never_reaches_winner(self, family, monkeypatch):
+        class TopUniform:
+            """A generator whose uniforms sit just below 1."""
+
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self):
+                return float(np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 1)
+        rng = TopUniform(np.random.default_rng(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for winner in range(1, 400):
+                assert _draw_match_pair(rng, fixed_winner(winner), far_losers(family))[1] < winner
+
+    def test_loser_law_without_mass_below_winner_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 5)
+        with pytest.raises(FairchaseError, match="below 20"):
+            _draw_match_pair(np.random.default_rng(0), fixed_winner(20), FittedDist.normal(1e6, 1.0))
