@@ -15,32 +15,30 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .distributions import FittedDist, NegBinParams, NormalParams
+from .distributions import FittedDist, NegBinParams, NormalParams, cdf, quantile
 from .errors import FairchaseError, InconsistentSpec
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
 
 Seed = Union[int, np.random.SeedSequence]
 
-#: Redraws allowed before conditional sampling is declared infeasible.
+#: Draws before giving up on a winner above zero, or inverting for a loser below it.
 _MAX_REDRAWS = 10_000
 
 
-def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
-    """count i.i.d. non-negative integer scores from a fitted model."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
+def _draw(rng: np.random.Generator, dist: FittedDist, count: int | None = None) -> int | np.ndarray:
+    """count i.i.d. non-negative integer scores from a fitted model, or one as an
+    int when count is None, taking the stream exactly as an array of one does.
+    A continuous draw X gives ceil(X) floored at 0: ceil(X) > t exactly when X > t,
+    so the draws exceed a target with the probability survival() reports."""
     params = dist.params
     if isinstance(params, NegBinParams):
-        lam = rng.gamma(shape=params.n, scale=(1.0 - params.p) / params.p, size=count)
-        return rng.poisson(lam).astype(np.int64)
-    if isinstance(params, NormalParams):
-        values = rng.normal(params.mu, params.sigma, size=count)
+        scores = rng.poisson(rng.gamma(shape=params.n, scale=(1.0 - params.p) / params.p, size=count))
+    elif isinstance(params, NormalParams):
+        scores = np.maximum(np.ceil(rng.normal(params.mu, params.sigma, size=count)), 0.0)
     else:
-        values = rng.logistic(params.mu, params.s, size=count)
-    # ceil(X) > t exactly when X > t, so the integer draws exceed a target
-    # with the probability survival() reports, 1 - F(t) at integer t
-    return np.maximum(np.ceil(values), 0.0).astype(np.int64)
+        scores = np.maximum(np.ceil(rng.logistic(params.mu, params.s, size=count)), 0.0)
+    return int(scores) if count is None else scores.astype(np.int64)
 
 
 def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
@@ -172,21 +170,25 @@ def _draw_match_pair(
 
     The winner score is kept as drawn (redrawn only while zero, which no
     loser can undercut); the loser is redrawn until it falls below the
-    winner, so the winner marginal matches its distribution exactly.
+    winner, so the winner marginal matches its distribution exactly. When every
+    redraw fails, inverting the loser law truncated below the winner (Devroye
+    1986, ch. 2) draws from the law a successful rejection has.
     """
     for _ in range(_MAX_REDRAWS):
-        winner = int(_draw(rng, winner_dist, 1)[0])
+        winner = _draw(rng, winner_dist)
         if winner > 0:
             break
     else:
         raise FairchaseError("winner distribution is concentrated at zero; cannot pair a loser")
     for _ in range(_MAX_REDRAWS):
-        loser = int(_draw(rng, loser_dist, 1)[0])
+        loser = _draw(rng, loser_dist)
         if loser < winner:
             return winner, loser
-    raise FairchaseError(
-        f"could not draw a loser score below {winner} in {_MAX_REDRAWS} attempts"
-    )
+    below = cdf(loser_dist, winner - 1)
+    if below == 0.0:
+        raise FairchaseError(f"the loser distribution has no mass below {winner}")
+    # a continuous inverse can round up to the winner; that draw stands for winner - 1
+    return winner, min(quantile(loser_dist, rng.random() * below, cap=winner), winner - 1)
 
 
 #: The two kinds of decisive match, drawn in this order at each venue:
@@ -245,23 +247,21 @@ def default_synthetic_spec(
     lose_dist = FittedDist.negbin(8.0, 8.0 / 158.0)  # mean 150
     bfw = max(1, round(0.55 * matches_per_venue))
     bsw = max(1, matches_per_venue - bfw)
-    specs = []
-    for v in range(1, num_venues + 1):
-        specs.append(
-            SyntheticVenueSpec(
-                venue=f"venue{v:02d}",
-                case_counts={
-                    CaseLabel.BAT_FIRST_WIN: bfw,
-                    CaseLabel.BAT_SECOND_LOSE: bfw,
-                    CaseLabel.BAT_SECOND_WIN: bsw,
-                    CaseLabel.BAT_FIRST_LOSE: bsw,
-                },
-                case_dists={
-                    CaseLabel.BAT_FIRST_WIN: win_dist,
-                    CaseLabel.BAT_SECOND_LOSE: lose_dist,
-                    CaseLabel.BAT_SECOND_WIN: win_dist,
-                    CaseLabel.BAT_FIRST_LOSE: lose_dist,
-                },
-            )
+    return [
+        SyntheticVenueSpec(
+            venue=f"venue{v:02d}",
+            case_counts={
+                CaseLabel.BAT_FIRST_WIN: bfw,
+                CaseLabel.BAT_SECOND_LOSE: bfw,
+                CaseLabel.BAT_SECOND_WIN: bsw,
+                CaseLabel.BAT_FIRST_LOSE: bsw,
+            },
+            case_dists={
+                CaseLabel.BAT_FIRST_WIN: win_dist,
+                CaseLabel.BAT_SECOND_LOSE: lose_dist,
+                CaseLabel.BAT_SECOND_WIN: win_dist,
+                CaseLabel.BAT_FIRST_LOSE: lose_dist,
+            },
         )
-    return specs
+        for v in range(1, num_venues + 1)
+    ]

@@ -310,8 +310,8 @@ class TestGenerateNeverGivesUp:
         support = np.arange(20)
         truncated = np.cumsum(pmf(loser_dist, support)) / cdf(loser_dist, 19)
         empirical = np.cumsum(np.bincount(losers, minlength=20)) / draws
-        # Kolmogorov-Smirnov at the 1% level (conservative for a discrete law)
-        assert np.max(np.abs(empirical - truncated)) < 1.63 / np.sqrt(draws)
+        # Kolmogorov-Smirnov at the 0.1% level (conservative for a discrete law)
+        assert np.max(np.abs(empirical - truncated)) < 1.95 / np.sqrt(draws)
 
     @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGISTIC])
     def test_continuous_fallback_never_reaches_winner(self, family, monkeypatch):
