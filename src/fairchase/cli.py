@@ -58,6 +58,9 @@ from .simulate import SimConfig, check_equalization, default_synthetic_spec, gen
 _FIT_ERRORS = (InsufficientSample, UnderdispersedSample, ZeroVariance)
 _MODEL_ERRORS = _FIT_ERRORS + (TargetUnattainable, InconsistentSpec, InvalidParams)
 
+#: Scores per pmf evaluation when validate sums a pmf up to the quantile cap.
+_PMF_BLOCK = 1 << 16
+
 _CASE_COLUMNS = {
     CaseLabel.BAT_FIRST_WIN: "bat_first_win",
     CaseLabel.BAT_FIRST_LOSE: "bat_first_lose",
@@ -338,14 +341,17 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
         except _FIT_ERRORS as exc:
             _warn(f"validate: skipping venue {name!r}: {exc}")
 
-    support = np.arange(config.quantile_cap + 1)
+    end = config.quantile_cap + 1
     curve = np.arange(config.curve_max_score + 1)
     for name, model in modeled:
         for dist_name, dist in (
             ("bat_first_win", model.dist_bat_first_win),
             ("bat_second_win", model.dist_bat_second_win),
         ):
-            total = math.fsum(pmf(dist, support).tolist())
+            # the pmf over 0..quantile_cap in blocks, so memory stays flat as the
+            # cap grows; fsum is exactly rounded, so the blocks cannot move the sum
+            blocks = (pmf(dist, np.arange(lo, min(lo + _PMF_BLOCK, end))) for lo in range(0, end, _PMF_BLOCK))
+            total = math.fsum(v for block in blocks for v in block.tolist())
             check(f"{name}/{dist_name}: pmf sums to 1", abs(total - 1.0) <= 1e-9, f"sum={total:.12f}")
             s = survival(dist, curve)
             check(f"{name}/{dist_name}: survival non-increasing", bool(np.all(s[1:] <= s[:-1] + 1e-12)))

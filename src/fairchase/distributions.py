@@ -327,7 +327,9 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
         # take clips a negative score to index 0, which the mask zeroes, and a
         # score past an underflowed array to its last term, 0.0
         return _result(terms.take(x, mode="clip") * (x >= 0))
-    return cdf(dist, x) - cdf(dist, x - 1)
+    points, index = np.unique(np.concatenate((x.ravel(), x.ravel() - 1)), return_inverse=True)
+    values = cdf(dist, points)[index]  # one cdf evaluation per distinct score among x and x - 1
+    return _result((values[: x.size] - values[x.size :]).reshape(x.shape))
 
 
 def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int:

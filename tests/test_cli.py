@@ -327,6 +327,30 @@ class TestGenerate:
 
 
 class TestValidate:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_quantile_cap_keeps_memory_bounded(self):
+        """A cap of 1e6 prints the default-cap lines, and the process peaks under 50 MB.
+
+        The peak is VmHWM, the child's own high-water mark: getrusage's
+        ru_maxrss in a freshly started child also counts the resident set of
+        the process that started it, here the test runner.
+        """
+        golden = ROOT / "tests" / "golden"
+        proc = _run_python(
+            "-c",
+            "import re, sys\n"
+            "from fairchase.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
+            "sys.exit(code)",
+            *("validate", "--data", str(golden / "matches.csv"), "--family", "nb"),
+            *("--quantile-cap", "1000000"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (golden / "validate_nb.txt").read_text()
+        assert int(proc.stderr.splitlines()[-1]) < 50 * 1024
+
     def test_passes_on_synthetic_data(self, cli, data_csv):
         code, out, _ = cli("validate", "--data", data_csv)
         assert code == 0

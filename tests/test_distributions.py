@@ -392,6 +392,30 @@ class TestArrayEvaluation:
             assert fn(dist, np.uint64(2**63)) == far
         assert top == 1.0
 
+    @pytest.mark.parametrize("dist", [FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)])
+    def test_continuous_pmf_is_the_two_call_difference(self, dist):
+        """Bit for bit cdf(x) - cdf(x - 1), on any shape, negative scores and
+        scores at the int64 limit included."""
+        rng = np.random.default_rng(7)
+        top = np.iinfo(np.int64).max
+        near_top = rng.integers(top - 5, top, 10, endpoint=True)
+        xs = np.concatenate(
+            [rng.integers(-50, 600, 500), near_top, -near_top, rng.integers(-top, top, 60)]
+        )
+        rng.shuffle(xs)
+        for scores in (xs, xs.reshape(20, -1), xs[:1].reshape(())):
+            two_calls = cdf(dist, scores) - cdf(dist, scores - 1)
+            assert np.asarray(pmf(dist, scores)).tobytes() == np.asarray(two_calls).tobytes()
+
+    @pytest.mark.parametrize("family_cdf", ["_normal_cdf", "_logistic_cdf"])
+    def test_continuous_pmf_evaluates_each_cdf_point_once(self, family_cdf, monkeypatch):
+        calls = []
+        real = getattr(distributions, family_cdf)
+        monkeypatch.setattr(distributions, family_cdf, lambda p, x: calls.append(x) or real(p, x))
+        dist = FittedDist.normal(200.0, 30.0) if family_cdf == "_normal_cdf" else FittedDist.logistic(200.0, 18.0)
+        pmf(dist, np.arange(1, 101))
+        assert sorted(calls) == list(range(0, 101))
+
     def test_nb_pmf_stops_growing_once_terms_underflow(self, monkeypatch):
         """Past the mode a term that has underflowed to 0.0 ends the growth:
         every later score is 0.0, as nb_pmf returns there."""
