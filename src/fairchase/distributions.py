@@ -266,8 +266,9 @@ def _logistic_cdf(p: LogisticParams, x: int) -> float:
     return e / (1.0 + e)
 
 
-#: Largest int64; a Python int or unsigned score past it (either way) is
-#: clamped to it, where every family already reads its far-tail value.
+#: Largest int64. A score past it either way (a Python int, an unsigned score
+#: or int64's minimum) is clamped to +-_SCORE_LIMIT, where every family already
+#: reads its far-tail value and x - 1 cannot wrap.
 _SCORE_LIMIT = 2**63 - 1
 
 
@@ -280,7 +281,7 @@ def _score_array(x: int | np.ndarray) -> np.ndarray:
         raise InvalidParams(f"scores must be integers, got dtype {x.dtype}")
     if x.dtype.kind == "u":
         x = np.minimum(x, _SCORE_LIMIT)
-    return x.astype(np.int64, copy=False)
+    return np.maximum(x.astype(np.int64, copy=False), -_SCORE_LIMIT, out=np.empty(x.shape, np.int64))
 
 
 def _result(values: np.ndarray) -> float | np.ndarray:

@@ -387,6 +387,7 @@ class TestArrayEvaluation:
             assert type(fn(dist, 10**20)) is float
             assert fn(dist, 10**20) == far
             assert fn(dist, -(10**20)) == below
+            assert fn(dist, np.array([-(2**63)])).tolist() == [below]  # x - 1 must not wrap
             unsigned = np.array([2**63, 2**64 - 1], dtype=np.uint64)
             assert fn(dist, unsigned).tolist() == [far, far]
             assert fn(dist, np.uint64(2**63)) == far
