@@ -348,8 +348,7 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
             ("bat_first_win", model.dist_bat_first_win),
             ("bat_second_win", model.dist_bat_second_win),
         ):
-            # the pmf over 0..quantile_cap in blocks, so memory stays flat as the
-            # cap grows; fsum is exactly rounded, so the blocks cannot move the sum
+            # blocks keep memory flat as the cap grows; fsum rounds exactly, so they cannot move the sum
             blocks = (pmf(dist, np.arange(lo, min(lo + _PMF_BLOCK, end))) for lo in range(0, end, _PMF_BLOCK))
             total = math.fsum(v for block in blocks for v in block.tolist())
             check(f"{name}/{dist_name}: pmf sums to 1", abs(total - 1.0) <= 1e-9, f"sum={total:.12f}")

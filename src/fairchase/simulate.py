@@ -247,21 +247,23 @@ def default_synthetic_spec(
     lose_dist = FittedDist.negbin(8.0, 8.0 / 158.0)  # mean 150
     bfw = max(1, round(0.55 * matches_per_venue))
     bsw = max(1, matches_per_venue - bfw)
-    return [
-        SyntheticVenueSpec(
-            venue=f"venue{v:02d}",
-            case_counts={
-                CaseLabel.BAT_FIRST_WIN: bfw,
-                CaseLabel.BAT_SECOND_LOSE: bfw,
-                CaseLabel.BAT_SECOND_WIN: bsw,
-                CaseLabel.BAT_FIRST_LOSE: bsw,
-            },
-            case_dists={
-                CaseLabel.BAT_FIRST_WIN: win_dist,
-                CaseLabel.BAT_SECOND_LOSE: lose_dist,
-                CaseLabel.BAT_SECOND_WIN: win_dist,
-                CaseLabel.BAT_FIRST_LOSE: lose_dist,
-            },
+    specs = []
+    for v in range(1, num_venues + 1):
+        specs.append(
+            SyntheticVenueSpec(
+                venue=f"venue{v:02d}",
+                case_counts={
+                    CaseLabel.BAT_FIRST_WIN: bfw,
+                    CaseLabel.BAT_SECOND_LOSE: bfw,
+                    CaseLabel.BAT_SECOND_WIN: bsw,
+                    CaseLabel.BAT_FIRST_LOSE: bsw,
+                },
+                case_dists={
+                    CaseLabel.BAT_FIRST_WIN: win_dist,
+                    CaseLabel.BAT_SECOND_LOSE: lose_dist,
+                    CaseLabel.BAT_SECOND_WIN: win_dist,
+                    CaseLabel.BAT_FIRST_LOSE: lose_dist,
+                },
+            )
         )
-        for v in range(1, num_venues + 1)
-    ]
+    return specs
