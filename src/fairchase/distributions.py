@@ -333,7 +333,25 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     return _result((values[: x.size] - values[x.size :]).reshape(x.shape))
 
 
-def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int:
+def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
+    """The count model's cumulative-mass table, grown until it reaches q,
+    settles, or runs past the cap."""
+    terms, table = _nb_arrays(dist, 0, _nb_settled)
+    while table[-1] < q and table.size <= cap and not _nb_settled(dist.params, terms, table):
+        terms, table = _nb_arrays(dist, table.size, _nb_settled)
+    return table
+
+
+def _continuous_inverse(p: NormalParams | LogisticParams, q: float) -> int:
+    """Ceiling of the analytic inverse CDF at 0 < q < 1 (not floored at 0)."""
+    if isinstance(p, NormalParams):
+        return math.ceil(p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q))
+    return math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
+
+
+def quantile(
+    dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP
+) -> int | np.ndarray:
     """Smallest integer score x >= 0 with cdf(x) >= q.
 
     The negative binomial is inverted exactly by binary search on its
@@ -342,8 +360,12 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
     probability), floored at 0. q = 1 cannot be reached on unbounded
     support: the hard cap is returned and a DegenerateQuantileWarning is
     issued. The same applies whenever the true quantile exceeds the cap, or
-    a settled negative binomial table stays below q.
+    a settled negative binomial table stays below q. A numpy array of
+    probabilities gives an int64 array of its shape, every element the
+    scalar answer, and at most one warning for all elements at the cap.
     """
+    if isinstance(q, np.ndarray):
+        return _quantile_array(dist, q, cap)
     if not (0.0 <= q <= 1.0):
         raise InvalidParams(f"quantile probability must lie in [0, 1], got {q}")
     if q == 0.0:
@@ -357,23 +379,48 @@ def quantile(dist: FittedDist, q: float, cap: int = DEFAULT_QUANTILE_CAP) -> int
         return cap
 
     p = dist.params
-    if isinstance(p, NormalParams):
-        x = math.ceil(p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q))
-    elif isinstance(p, LogisticParams):
-        x = math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
-    else:
-        terms, table = _nb_arrays(dist, 0, _nb_settled)
-        while table[-1] < q and table.size <= cap and not _nb_settled(p, terms, table):
-            terms, table = _nb_arrays(dist, table.size, _nb_settled)
+    if isinstance(p, NegBinParams):
+        table = _nb_table(dist, q, cap)
         x = int(np.searchsorted(table, q))
         if x == table.size:  # the table settled below q, or ran past the cap
             x = cap + 1
+    else:
+        x = _continuous_inverse(p, q)
     if x > cap:
         warnings.warn(
             f"quantile({q}) exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=2
         )
         return cap
     return max(x, 0)
+
+
+def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
+    """quantile at every probability of an array: one table search for the
+    negative binomial, the analytic inverse per element otherwise."""
+    q = q.astype(float, copy=False)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise InvalidParams("quantile probabilities must lie in [0, 1]")
+    inner = (q > 0.0) & (q < 1.0)
+    x = np.zeros(q.shape, dtype=np.int64)
+    over = q == 1.0
+    p = dist.params
+    if isinstance(p, NegBinParams):
+        table = _nb_table(dist, float(q[inner].max(initial=0.0)), cap)
+        found = np.searchsorted(table, q[inner])
+        x[inner] = found
+        over[inner] = (found == table.size) | (found > cap)
+    else:
+        found = [_continuous_inverse(p, v) for v in q[inner].tolist()]
+        x[inner] = [min(max(v, 0), cap) for v in found]
+        over[inner] = [v > cap for v in found]
+    if over.any():
+        warnings.warn(
+            f"{np.count_nonzero(over)} quantiles exceed the hard cap {cap}",
+            DegenerateQuantileWarning,
+            stacklevel=3,
+        )
+        x[over] = cap
+    return x
 
 
 def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:

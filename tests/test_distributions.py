@@ -288,6 +288,64 @@ class TestQuantile:
                 assert cdf(dist, x - 1) < q + 1e-12
 
 
+def _quantile_warned(dist: FittedDist, q, cap: int) -> tuple[object, bool]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x = quantile(dist, q, cap=cap)
+    return x, any(issubclass(w.category, DegenerateQuantileWarning) for w in caught)
+
+
+#: Probabilities at and next to both ends of [0, 1].
+EDGE_QS = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 1.0]
+
+
+class TestArrayQuantile:
+    """quantile on a probability array against one scalar call per element."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.floats(min_value=1e-2, max_value=1e3),
+        p=st.floats(min_value=1e-2, max_value=0.999),
+        mu=st.floats(min_value=-100.0, max_value=1000.0),
+        scale=st.floats(min_value=0.5, max_value=300.0),
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+        cap=st.sampled_from([50, 2000, 10_000_000]),
+    )
+    @example(n=8.0, p=0.04, mu=200.0, scale=30.0, qs=EDGE_QS, cap=2000)
+    @example(n=20.0, p=0.1, mu=200.0, scale=30.0, qs=[0.9999999999999974], cap=2000)
+    def test_array_matches_scalar(self, n, p, mu, scale, qs, cap):
+        for family in Family:
+            dist = {
+                Family.NEGBIN: FittedDist.negbin(n, p),
+                Family.NORMAL: FittedDist.normal(mu, scale),
+                Family.LOGISTIC: FittedDist.logistic(mu, scale),
+            }[family]
+            scalar = [_quantile_warned(dist, q, cap) for q in qs]
+            xs, warned = _quantile_warned(dist, np.array(qs), cap)
+            assert xs.dtype == np.int64 and xs.shape == (len(qs),)
+            assert xs.tolist() == [x for x, _ in scalar], family
+            assert warned == any(w for _, w in scalar), family
+
+    @pytest.mark.parametrize(
+        "dist", [GEOMETRIC, FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)]
+    )
+    def test_shape_kept_and_range_checked(self, dist):
+        qs = np.linspace(0.0, 0.99, 12).reshape(3, 4)
+        assert quantile(dist, qs).tolist() == [[quantile(dist, float(q)) for q in row] for row in qs]
+        assert quantile(dist, np.array([])).shape == (0,)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(InvalidParams):
+                quantile(dist, np.array([0.5, bad]))
+
+    def test_one_warning_for_every_capped_element(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            xs = quantile(FittedDist.normal(200.0, 30.0), np.array([0.5, 1.0, 1.0 - 1e-12]), cap=250)
+        assert xs.tolist() == [200, 250, 250]
+        assert [str(w.message) for w in caught] == ["2 quantiles exceed the hard cap 250"]
+        assert caught[0].filename == __file__
+
+
 class TestNormalization:
     @pytest.mark.parametrize(
         "dist",
