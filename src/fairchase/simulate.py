@@ -20,7 +20,7 @@ from .errors import FairchaseError, InconsistentSpec
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
 
-Seed = Union[int, np.random.SeedSequence]
+Seed = Union[int, "np.random.SeedSequence"]  # a string, so importing this module leaves numpy.random unloaded
 
 #: Draws before giving up on a winner above zero, or inverting for a loser below it.
 _MAX_REDRAWS = 10_000

@@ -493,6 +493,14 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_loads_numpy_random_only_as_numpy_does(self):
+        # numpy 1.x imports numpy.random with numpy itself; 2.x loads it on first use
+        loaded = "import sys, {}; print('numpy.random' in sys.modules)"
+        bare = _run_python("-c", loaded.format("numpy"))
+        cli = _run_python("-c", loaded.format("fairchase.cli"))
+        assert bare.returncode == 0 and cli.returncode == 0, bare.stderr + cli.stderr
+        assert cli.stdout == bare.stdout
+
     def test_module_invocation_runs_the_command(self, data_csv):
         proc = _run_python("-m", "fairchase.cli", "summary", "--data", data_csv)
         assert proc.returncode == 0, proc.stderr
