@@ -168,28 +168,6 @@ class FitConfig:
 DEFAULT_FIT_CONFIG = FitConfig()
 
 
-def nb_logpmf(x: int, params: NegBinParams) -> float:
-    """Log of the count pmf at x through log-gamma: the reference that tests
-    hold pmf to (pmf itself sums the ratio terms of _nb_log_terms)."""
-    if x < 0:
-        return -math.inf
-    return (
-        math.lgamma(x + params.n)
-        - math.lgamma(params.n)
-        - math.lgamma(x + 1)
-        + params.n * math.log(params.p)
-        + x * math.log1p(-params.p)
-    )
-
-
-def nb_pmf(x: int, params: NegBinParams) -> float:
-    """P(X = x) for the count model through log-gamma (the reference for
-    pmf); 0 for x < 0."""
-    if x < 0:
-        return 0.0
-    return math.exp(nb_logpmf(x, params))
-
-
 #: Shortest cumulative-mass table; tables grow in powers of two from here.
 _MIN_TABLE = 512
 
@@ -349,9 +327,7 @@ def _continuous_inverse(p: NormalParams | LogisticParams, q: float) -> int:
     return math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
 
 
-def quantile(
-    dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP
-) -> int | np.ndarray:
+def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP) -> int | np.ndarray:
     """Smallest integer score x >= 0 with cdf(x) >= q.
 
     The negative binomial is inverted exactly by binary search on its
@@ -397,28 +373,21 @@ def quantile(
 def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
     """quantile at every probability of an array: one table search for the
     negative binomial, the analytic inverse per element otherwise."""
-    q = q.astype(float, copy=False)
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise InvalidParams("quantile probabilities must lie in [0, 1]")
-    inner = (q > 0.0) & (q < 1.0)
-    x = np.zeros(q.shape, dtype=np.int64)
-    over = q == 1.0
-    p = dist.params
-    if isinstance(p, NegBinParams):
+    inner, over, x = (q > 0.0) & (q < 1.0), q == 1.0, np.zeros(q.shape, dtype=np.int64)
+    if isinstance(dist.params, NegBinParams):
         table = _nb_table(dist, float(q[inner].max(initial=0.0)), cap)
         found = np.searchsorted(table, q[inner])
-        x[inner] = found
         over[inner] = (found == table.size) | (found > cap)
     else:
-        found = [_continuous_inverse(p, v) for v in q[inner].tolist()]
-        x[inner] = [min(max(v, 0), cap) for v in found]
+        found = [_continuous_inverse(dist.params, v) for v in q[inner].tolist()]
         over[inner] = [v > cap for v in found]
+        found = [min(max(v, 0), cap) for v in found]
+    x[inner] = found
     if over.any():
-        warnings.warn(
-            f"{np.count_nonzero(over)} quantiles exceed the hard cap {cap}",
-            DegenerateQuantileWarning,
-            stacklevel=3,
-        )
+        message = f"{np.count_nonzero(over)} quantiles exceed the hard cap {cap}"
+        warnings.warn(message, DegenerateQuantileWarning, stacklevel=3)
         x[over] = cap
     return x
 

@@ -39,8 +39,6 @@ from fairchase import (
     fitted_from_json,
     fitted_to_dict,
     fitted_to_json,
-    nb_logpmf,
-    nb_pmf,
     pmf,
     quantile,
     sample_scores,
@@ -50,6 +48,27 @@ from fairchase import (
 SMALL = FitConfig(min_sample_size=2)
 
 GEOMETRIC = FittedDist.negbin(1.0, 0.5)
+
+
+def nb_logpmf(x: int, params: NegBinParams) -> float:
+    """Log of the count pmf at x through log-gamma: the reference that pmf is
+    held to (pmf itself sums the ratio terms of _nb_log_terms)."""
+    if x < 0:
+        return -math.inf
+    return (
+        math.lgamma(x + params.n)
+        - math.lgamma(params.n)
+        - math.lgamma(x + 1)
+        + params.n * math.log(params.p)
+        + x * math.log1p(-params.p)
+    )
+
+
+def nb_pmf(x: int, params: NegBinParams) -> float:
+    """P(X = x) for the count model through log-gamma; 0 for x < 0."""
+    if x < 0:
+        return 0.0
+    return math.exp(nb_logpmf(x, params))
 
 
 def exact_nb_pmf(x: int, n: int, p: float) -> float:
