@@ -10,25 +10,21 @@ how trial work could be partitioned across workers without changing results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .distributions import FittedDist, NegBinParams, NormalParams, cdf, quantile
+from .distributions import _SCORE_LIMIT, FittedDist, NegBinParams, NormalParams, cdf, quantile
 from .errors import FairchaseError, InconsistentSpec
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
 
 Seed = Union[int, "np.random.SeedSequence"]  # a string, so importing this module leaves numpy.random unloaded
 
-#: Draws before giving up on a winner above zero, or inverting for a loser below it.
-_MAX_REDRAWS = 10_000
 
-
-def _draw(rng: np.random.Generator, dist: FittedDist, count: int | None = None) -> int | np.ndarray:
-    """count i.i.d. non-negative integer scores from a fitted model, or one as an
-    int when count is None, taking the stream exactly as an array of one does.
+def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
+    """count i.i.d. non-negative integer scores from a fitted model.
     A continuous draw X gives ceil(X) floored at 0: ceil(X) > t exactly when X > t,
     so the draws exceed a target with the probability survival() reports."""
     params = dist.params
@@ -38,7 +34,7 @@ def _draw(rng: np.random.Generator, dist: FittedDist, count: int | None = None) 
         scores = np.maximum(np.ceil(rng.normal(params.mu, params.sigma, size=count)), 0.0)
     else:
         scores = np.maximum(np.ceil(rng.logistic(params.mu, params.s, size=count)), 0.0)
-    return int(scores) if count is None else scores.astype(np.int64)
+    return scores.astype(np.int64)
 
 
 def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
@@ -84,18 +80,7 @@ class SimResult:
         return self.se_first_exceed == 0.0 or self.se_second_exceed == 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "venue": self.venue,
-            "actual_target": self.actual_target,
-            "revised_target": self.revised_target,
-            "win_ratio": self.win_ratio,
-            "est_first_exceed": self.est_first_exceed,
-            "se_first_exceed": self.se_first_exceed,
-            "est_second_exceed": self.est_second_exceed,
-            "se_second_exceed": self.se_second_exceed,
-            "trials": self.trials,
-            "degenerate": self.degenerate,
-        }
+        return {**asdict(self), "degenerate": self.degenerate}
 
 
 def _estimate(draws: np.ndarray, threshold: int, trials: int) -> tuple[float, float]:
@@ -163,32 +148,29 @@ class SyntheticVenueSpec:
         return int(self.case_counts.get(label, 0))
 
 
-def _draw_match_pair(
-    rng: np.random.Generator, winner_dist: FittedDist, loser_dist: FittedDist
-) -> tuple[int, int]:
-    """One (winner, loser) score pair with loser strictly below winner.
-
-    The winner score is kept as drawn (redrawn only while zero, which no
-    loser can undercut); the loser is redrawn until it falls below the
-    winner, so the winner marginal matches its distribution exactly. When every
-    redraw fails, inverting the loser law truncated below the winner (Devroye
-    1986, ch. 2) draws from the law a successful rejection has.
-    """
-    for _ in range(_MAX_REDRAWS):
-        winner = _draw(rng, winner_dist)
-        if winner > 0:
-            break
-    else:
+def _draw_winners(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
+    """count winning scores: dist conditioned on a score of at least 1, by
+    inversion (Devroye 1986, ch. 2) at q = F(0) + u (1 - F(0)), u uniform on
+    [0, 1). q stays below the law's total mass (a settled negative binomial
+    table can stop short of 1), so every q has a finite quantile; a q that
+    rounds down to F(0) stands for 1, the least score the conditioned law has."""
+    floor = cdf(dist, 0)
+    if floor == 1.0:
         raise FairchaseError("winner distribution is concentrated at zero; cannot pair a loser")
-    for _ in range(_MAX_REDRAWS):
-        loser = _draw(rng, loser_dist)
-        if loser < winner:
-            return winner, loser
-    below = cdf(loser_dist, winner - 1)
-    if below == 0.0:
-        raise FairchaseError(f"the loser distribution has no mass below {winner}")
+    top = np.nextafter(cdf(dist, _SCORE_LIMIT), 0.0)
+    q = np.minimum(floor + rng.random(count) * (1.0 - floor), top)
+    return np.maximum(quantile(dist, q, cap=_SCORE_LIMIT), 1)
+
+
+def _draw_losers(rng: np.random.Generator, dist: FittedDist, winners: np.ndarray) -> np.ndarray:
+    """One losing score below each winner: dist conditioned on a score of at
+    most winner - 1, by inversion at q = u F(winner - 1)."""
+    below = cdf(dist, winners - 1)
+    if (below == 0.0).any():
+        raise FairchaseError(f"the loser distribution has no mass below {winners[np.argmin(below)]}")
+    losers = quantile(dist, rng.random(winners.size) * below, cap=_SCORE_LIMIT)
     # a continuous inverse can round up to the winner; that draw stands for winner - 1
-    return winner, min(quantile(loser_dist, rng.random() * below, cap=winner), winner - 1)
+    return np.minimum(losers, winners - 1)
 
 
 #: The two kinds of decisive match, drawn in this order at each venue:
@@ -206,9 +188,11 @@ def generate_synthetic_dataset(
     """Synthetic match records whose categorization reproduces each venue spec.
 
     Venues consume SeedSequence substreams in listed order, so output is a
-    pure function of (specs, seed). Within a match the two innings are drawn
-    independently except for the rejection constraint that the loser stays
-    below the winner.
+    pure function of (specs, seed). Each kind of match at a venue takes one
+    array of uniforms for its winners, each drawn from its law conditioned on
+    a score above zero, then one for its losers, each conditioned on a score
+    below its winner. Raises only when a winner law has no mass above zero
+    or a loser law none below a drawn winner.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(len(specs))
@@ -216,9 +200,13 @@ def generate_synthetic_dataset(
     for spec, stream in zip(specs, streams):
         rng = np.random.default_rng(stream)
         for win_label, lose_label, outcome, tag, innings_order in _MATCH_KINDS:
-            for i in range(spec.count(win_label)):
-                winner_dist, loser_dist = spec.case_dists[win_label], spec.case_dists[lose_label]
-                first, second = _draw_match_pair(rng, winner_dist, loser_dist)[::innings_order]
+            count = spec.count(win_label)
+            if count == 0:
+                continue
+            winners = _draw_winners(rng, spec.case_dists[win_label], count)
+            losers = _draw_losers(rng, spec.case_dists[lose_label], winners)
+            for i, pair in enumerate(zip(winners.tolist(), losers.tolist())):
+                first, second = pair[::innings_order]
                 records.append(
                     MatchRecord(
                         match_id=f"{spec.venue}-{tag}-{i:04d}",

@@ -11,6 +11,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import fairchase
 from fairchase import parse_matches, serialize_matches
 from fairchase.cli import _build_parser, _resolve_config, main
 from fairchase.config import SETTINGS, AppConfig
@@ -318,7 +320,7 @@ class TestGenerate:
         path = tmp_path / "g.csv"
         cli("generate", "--num-venues", "3", "--matches", "40", "--seed", "5", "--out", str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "00b9f13fd530b4df428d68792ea891745bad15423d1194fe4dcaeda39ed7e85d"
+        assert digest == "150f4eb6f392e2263566d856094dd3b41a4f885305224de5f6920e7a1df7a2cd"
 
     def test_stdout_default(self, cli):
         code, out, _ = cli("generate", "--num-venues", "1", "--matches", "10", "--seed", "0")
@@ -500,6 +502,12 @@ class TestEntryPoints:
         cli = _run_python("-c", loaded.format("fairchase.cli"))
         assert bare.returncode == 0 and cli.returncode == 0, bare.stderr + cli.stderr
         assert cli.stdout == bare.stdout
+
+    def test_package_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(r'^\[project\][^\[]*?^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert match and match.group(1) == fairchase.__version__
 
     def test_module_invocation_runs_the_command(self, data_csv):
         proc = _run_python("-m", "fairchase.cli", "summary", "--data", data_csv)

@@ -31,7 +31,6 @@ from fairchase import (
     survival,
 )
 from fairchase import simulate
-from fairchase.simulate import _draw, _draw_match_pair
 
 NB_MODEL = FittedDist.negbin(8.0, 0.04)  # mean 192
 
@@ -255,30 +254,47 @@ def far_losers(family: Family) -> FittedDist:
     return FittedDist.logistic(1000.0, 55.0)
 
 
-class TestDrawStream:
-    """One scalar draw takes the generator stream exactly as an array of one."""
+def one_kind_spec(winner_dist: FittedDist, loser_dist: FittedDist, count: int) -> list[SyntheticVenueSpec]:
+    """One venue whose count matches are all won by the side batting first."""
+    return [
+        SyntheticVenueSpec(
+            venue="V",
+            case_counts={CaseLabel.BAT_FIRST_WIN: count, CaseLabel.BAT_SECOND_LOSE: count},
+            case_dists={CaseLabel.BAT_FIRST_WIN: winner_dist, CaseLabel.BAT_SECOND_LOSE: loser_dist},
+        )
+    ]
 
-    @pytest.mark.parametrize("family", list(Family))
-    def test_scalar_draw_equals_array_of_one(self, family):
-        dist = {
-            Family.NEGBIN: NB_MODEL,
-            Family.NORMAL: FittedDist.normal(192.0, 45.0),
-            Family.LOGISTIC: FittedDist.logistic(192.0, 25.0),
-        }[family]
-        rng, rng2 = np.random.default_rng(11), np.random.default_rng(11)
-        for _ in range(200):
-            score = _draw(rng, dist)
-            assert type(score) is int
-            assert score == int(_draw(rng2, dist, 1)[0])
-        assert rng.bit_generator.state == rng2.bit_generator.state
+
+def generated_pairs(winner_dist: FittedDist, loser_dist: FittedDist, count: int, seed: int = 29):
+    """(winners, losers) arrays of generate on one_kind_spec."""
+    records = generate_synthetic_dataset(one_kind_spec(winner_dist, loser_dist, count), seed)
+    return (
+        np.array([r.first_innings_runs for r in records]),
+        np.array([r.second_innings_runs for r in records]),
+    )
+
+
+class ConstantUniform:
+    """A generator whose uniforms all take one value."""
+
+    def __init__(self, value: float):
+        self._value = value
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self._value)
+
+
+def ks_bound(draws: int) -> float:
+    """Kolmogorov-Smirnov at the 0.1% level (conservative for a discrete law)."""
+    return 1.95 / np.sqrt(draws)
 
 
 class TestGenerateNeverGivesUp:
     #: sha256 of serialize_matches at 10 venues x 1000 matches, recorded
-    #: before the scalar draw and the truncated fallback went in
+    #: when generate moved to batched truncated inversion (version 0.2.0)
     PINNED = {
-        0: "d58d5869e572a225dfddfc39a0731b0ea119b8df7ab850077da22914f10a8e7c",
-        1: "57289c11763f1eb3be00a6ce97c73c5baa70301b7887432167a0b6a133349c94",
+        0: "d80d82ec2a27e147b5b37fafc1c96a3e4d3dfe11c6a625729da8bce1249630cf",
+        1: "e471912563af38a7edc4f0294d5b0c929ff58eee41c5faa67c82505d12ef99e9",
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -295,46 +311,80 @@ class TestGenerateNeverGivesUp:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_unmodified_loop_falls_back(self, family):
-        # every loser draw fails here, so each pair comes from the fallback
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            assert _draw_match_pair(rng, fixed_winner(20), far_losers(family)) < (20, 20)
+        # a rejection loop would almost never draw these losers below 20
+        winners, losers = generated_pairs(fixed_winner(20), far_losers(family), 3, seed=3)
+        assert winners.tolist() == [20, 20, 20]
+        assert (losers < 20).all()
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_fallback_losers_follow_truncated_pmf(self, family, monkeypatch):
-        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 2)
+    def test_fallback_losers_follow_truncated_pmf(self, family):
         loser_dist = far_losers(family)
-        rng = np.random.default_rng(29)
         draws = 4000
-        losers = np.array([_draw_match_pair(rng, fixed_winner(20), loser_dist)[1] for _ in range(draws)])
+        _, losers = generated_pairs(fixed_winner(20), loser_dist, draws)
         support = np.arange(20)
         truncated = np.cumsum(pmf(loser_dist, support)) / cdf(loser_dist, 19)
         empirical = np.cumsum(np.bincount(losers, minlength=20)) / draws
-        # Kolmogorov-Smirnov at the 0.1% level (conservative for a discrete law)
-        assert np.max(np.abs(empirical - truncated)) < 1.95 / np.sqrt(draws)
+        assert np.max(np.abs(empirical - truncated)) < ks_bound(draws)
+
+    @pytest.mark.parametrize(
+        "winner_dist",
+        [FittedDist.negbin(2.0, 0.3), FittedDist.normal(2.0, 3.0), FittedDist.logistic(2.0, 2.0)],
+        ids=[family.value for family in Family],
+    )
+    def test_winners_follow_law_conditioned_above_zero(self, winner_dist):
+        # each law puts between 9% and 30% of its mass at zero, which no winner may take
+        draws = 4000
+        winners, _ = generated_pairs(winner_dist, FittedDist.normal(0.0, 1.0), draws)
+        assert winners.min() >= 1
+        support = np.arange(1, 60)
+        floor = cdf(winner_dist, 0)
+        conditioned = (cdf(winner_dist, support) - floor) / (1.0 - floor)
+        empirical = np.searchsorted(np.sort(winners), support, side="right") / draws
+        assert np.max(np.abs(empirical - conditioned)) < ks_bound(draws)
 
     @pytest.mark.parametrize("family", [Family.NORMAL, Family.LOGISTIC])
-    def test_continuous_fallback_never_reaches_winner(self, family, monkeypatch):
-        class TopUniform:
-            """A generator whose uniforms sit just below 1."""
-
-            def __init__(self, rng):
-                self._rng = rng
-
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-            def random(self):
-                return float(np.nextafter(1.0, 0.0))
-
-        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 1)
-        rng = TopUniform(np.random.default_rng(5))
+    def test_continuous_fallback_never_reaches_winner(self, family):
+        # uniforms just below 1 ask for the top of each truncated law, where a
+        # continuous inverse can round up to the winner itself
+        winners = np.arange(1, 400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for winner in range(1, 400):
-                assert _draw_match_pair(rng, fixed_winner(winner), far_losers(family))[1] < winner
+            losers = simulate._draw_losers(ConstantUniform(np.nextafter(1.0, 0.0)), far_losers(family), winners)
+        assert (losers < winners).all()
 
-    def test_loser_law_without_mass_below_winner_raises(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 5)
+    @pytest.mark.parametrize("family", list(Family))
+    def test_extreme_uniforms_give_finite_winners(self, family):
+        winner_dist = {
+            Family.NEGBIN: FittedDist.negbin(20.0, 0.1),  # its table settles below 1
+            Family.NORMAL: FittedDist.normal(192.0, 45.0),
+            Family.LOGISTIC: FittedDist.logistic(192.0, 25.0),
+        }[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lowest = simulate._draw_winners(ConstantUniform(0.0), winner_dist, 2)
+            highest = simulate._draw_winners(ConstantUniform(np.nextafter(1.0, 0.0)), winner_dist, 2)
+        assert lowest.tolist() == [1, 1]
+        assert (highest > winner_dist.mean).all() and (highest < 5000).all()
+
+    def test_winner_law_with_little_mass_above_zero_completes(self):
+        # P(winner > 0) = 2.9e-7: a rejection loop of 10 000 draws gave up here
+        winners, losers = generated_pairs(FittedDist.normal(-50.0, 10.0), FittedDist.normal(0.0, 1.0), 200)
+        assert winners.min() >= 1
+        assert (losers < winners).all()
+
+    def test_winner_law_concentrated_at_zero_raises(self):
+        with pytest.raises(FairchaseError, match="concentrated at zero"):
+            generated_pairs(FittedDist.normal(-100.0, 1.0), FittedDist.normal(0.0, 1.0), 5)
+
+    def test_loser_law_without_mass_below_winner_raises(self):
         with pytest.raises(FairchaseError, match="below 20"):
-            _draw_match_pair(np.random.default_rng(0), fixed_winner(20), FittedDist.normal(1e6, 1.0))
+            generated_pairs(fixed_winner(20), FittedDist.normal(1e6, 1.0), 5)
+
+    def test_no_quantile_warning_leaks(self):
+        laws = [(FittedDist.normal(192.0, 45.0), FittedDist.normal(150.0, 40.0)),
+                (FittedDist.logistic(192.0, 25.0), FittedDist.logistic(150.0, 22.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_synthetic_dataset(default_synthetic_spec(3, 500), 11)
+            for winner_dist, loser_dist in laws:
+                generated_pairs(winner_dist, loser_dist, 1000)
