@@ -39,7 +39,7 @@ from .matches import (
     MatchRecord,
     categorize,
     parse_matches,
-    resolve_venue,
+    select_venues,
     serialize_matches,
     summarize,
     summary_to_csv,
@@ -165,16 +165,6 @@ def _load_dataset(config: AppConfig) -> tuple[list[MatchRecord], CategorizedScor
     return records, categorize(records)
 
 
-def _selected_venues(dataset: CategorizedScores, config: AppConfig) -> list[str]:
-    if config.venues is None:
-        return venue_names(dataset)
-    resolved = sorted(resolve_venue(dataset, v) for v in config.venues)
-    if OVERALL_VENUE in resolved:
-        resolved.remove(OVERALL_VENUE)
-        resolved.append(OVERALL_VENUE)
-    return resolved
-
-
 def _slug(venue: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in venue.lower()).strip("-") or "venue"
 
@@ -191,7 +181,7 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     fit_config = config.fit_config()
     entries = []
-    for name in _selected_venues(dataset, config):
+    for name in select_venues(dataset, config.venues):
         for label in CaseLabel:
             try:
                 dist = fit(dataset[name][label].scores, config.fit_family, fit_config)
@@ -216,7 +206,7 @@ def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     if not args.out:
         raise FairchaseError("curves writes one CSV per venue; pass --out DIRECTORY")
-    names = _selected_venues(dataset, config)
+    names = select_venues(dataset, config.venues)
     by_slug: dict[str, str] = {}
     for name in names:
         other = by_slug.setdefault(_slug(name), name)
@@ -269,7 +259,7 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
 
 def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
-    names = _selected_venues(dataset, config)
+    names = select_venues(dataset, config.venues)
     filtered = {name: dataset[name] for name in names}
     families = tuple(Family) if config.family is None else (config.family,)
     report = revision_report(filtered, families, config.target_grid, config.fit_config())
@@ -333,9 +323,8 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     check("win percentages sum to 100", pct_ok)
 
     fit_config = config.fit_config()
-    selected = _selected_venues(dataset, config)
     modeled = []
-    for name in selected:
+    for name in select_venues(dataset, config.venues):
         try:
             modeled.append((name, build_model(dataset, name, config.fit_family, fit_config)))
         except _FIT_ERRORS as exc:

@@ -19,7 +19,7 @@ import statistics
 import warnings
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class NegBinParams:
     called p, so this parameterization is fixed here and everywhere below.
     """
 
+    family: ClassVar[Family] = Family.NEGBIN
     n: float
     p: float
 
@@ -74,6 +75,7 @@ class NegBinParams:
 
 @dataclass(frozen=True)
 class NormalParams:
+    family: ClassVar[Family] = Family.NORMAL
     mu: float
     sigma: float
 
@@ -86,6 +88,7 @@ class NormalParams:
 
 @dataclass(frozen=True)
 class LogisticParams:
+    family: ClassVar[Family] = Family.LOGISTIC
     mu: float
     s: float
 
@@ -98,11 +101,7 @@ class LogisticParams:
 
 Params = Union[NegBinParams, NormalParams, LogisticParams]
 
-_PARAMS_BY_FAMILY = {
-    Family.NEGBIN: NegBinParams,
-    Family.NORMAL: NormalParams,
-    Family.LOGISTIC: LogisticParams,
-}
+_PARAMS_BY_FAMILY = {cls.family: cls for cls in get_args(Params)}
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,10 @@ class FittedDist:
 
     sample_size is 0 for distributions built directly from parameters rather
     than from data. degenerate marks fits where the dispersion search hit its
-    bound and the parameters should not be trusted.
+    bound and the parameters should not be trusted. The family is the
+    params class's.
     """
 
-    family: Family
     params: Params
     sample_size: int = 0
     log_likelihood: float = 0.0
@@ -126,12 +125,8 @@ class FittedDist:
     )
 
     def __post_init__(self):
-        expected = _PARAMS_BY_FAMILY[self.family]
-        if not isinstance(self.params, expected):
-            raise InvalidParams(
-                f"family {self.family.value} requires {expected.__name__}, "
-                f"got {type(self.params).__name__}"
-            )
+        if not isinstance(self.params, Params):
+            raise InvalidParams(f"params of no family: {type(self.params).__name__}")
         if not math.isfinite(self.log_likelihood):
             raise InvalidParams("log_likelihood must be finite")
         if self.sample_size < 0:
@@ -139,15 +134,19 @@ class FittedDist:
 
     @classmethod
     def negbin(cls, n: float, p: float) -> "FittedDist":
-        return cls(Family.NEGBIN, NegBinParams(n, p))
+        return cls(NegBinParams(n, p))
 
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "FittedDist":
-        return cls(Family.NORMAL, NormalParams(mu, sigma))
+        return cls(NormalParams(mu, sigma))
 
     @classmethod
     def logistic(cls, mu: float, s: float) -> "FittedDist":
-        return cls(Family.LOGISTIC, LogisticParams(mu, s))
+        return cls(LogisticParams(mu, s))
+
+    @property
+    def family(self) -> Family:
+        return self.params.family
 
     @property
     def mean(self) -> float:
@@ -314,10 +313,10 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
 def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
     """The count model's cumulative-mass table, grown until it reaches q,
     settles, or runs past the cap."""
-    terms, table = _nb_arrays(dist, 0, _nb_settled)
-    while table[-1] < q and table.size <= cap and not _nb_settled(dist.params, terms, table):
-        terms, table = _nb_arrays(dist, table.size, _nb_settled)
-    return table
+    def done(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
+        return table[-1] >= q or _nb_settled(params, terms, table)
+
+    return _nb_arrays(dist, cap, done)[1]
 
 
 def _continuous_inverse(p: NormalParams | LogisticParams, q: float) -> int:
@@ -341,7 +340,9 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
     scalar answer, and at most one warning for all elements at the cap.
     """
     if isinstance(q, np.ndarray):
-        return _quantile_array(dist, q, cap)
+        if q.ndim:
+            return _quantile_array(dist, q, cap)
+        q = float(q)  # a 0-d array is one probability
     if not (0.0 <= q <= 1.0):
         raise InvalidParams(f"quantile probability must lie in [0, 1], got {q}")
     if q == 0.0:
@@ -522,7 +523,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
     degenerate = n_hat >= 0.999 * _N_UPPER
-    return FittedDist(Family.NEGBIN, params, size, ll, degenerate=degenerate)
+    return FittedDist(params, size, ll, degenerate=degenerate)
 
 
 def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
@@ -534,7 +535,7 @@ def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) ->
     params = NormalParams(float(xs.mean()), math.sqrt(var))
     z = (xs - params.mu) / params.sigma
     ll = float(-0.5 * np.sum(z**2) - xs.size * math.log(params.sigma * math.sqrt(2 * math.pi)))
-    return FittedDist(Family.NORMAL, params, int(xs.size), ll)
+    return FittedDist(params, int(xs.size), ll)
 
 
 def fit_logistic(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
@@ -546,7 +547,7 @@ def fit_logistic(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) 
     params = LogisticParams(float(xs.mean()), math.sqrt(3.0 * var) / math.pi)
     z = (xs - params.mu) / params.s
     ll = float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z)) - xs.size * math.log(params.s))
-    return FittedDist(Family.LOGISTIC, params, int(xs.size), ll)
+    return FittedDist(params, int(xs.size), ll)
 
 
 _FITTERS = {
@@ -577,11 +578,8 @@ def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
 def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
     """Inverse of fitted_to_dict; re-validates all parameter invariants."""
     try:
-        family = Family(doc["family"])
-        params_cls = _PARAMS_BY_FAMILY[family]
-        params = params_cls(**doc["params"])
+        params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
         dist = FittedDist(
-            family,
             params,
             int(doc["sample_size"]),
             float(doc["log_likelihood"]),

@@ -61,7 +61,8 @@ class TargetUnattainable(FairchaseError):
 
 
 class InconsistentSpec(FairchaseError):
-    """Synthetic-dataset case counts do not pair winners with losers."""
+    """A synthetic venue spec has a negative match count, or no law for a
+    case it must draw."""
 
 
 class DegenerateQuantileWarning(UserWarning):

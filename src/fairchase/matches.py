@@ -320,29 +320,31 @@ def resolve_venue(dataset: CategorizedScores, venue: str) -> str:
     raise UnknownVenue(f"venue {venue!r} not present in the dataset")
 
 
+def select_venues(dataset: CategorizedScores, venues: Sequence[str] | None = None) -> list[str]:
+    """Dataset keys of the named venues, each once, in venue_names order
+    (every venue with venues=None); UnknownVenue for a name not present."""
+    if venues is None:
+        return venue_names(dataset)
+    wanted = {resolve_venue(dataset, v) for v in venues}
+    return [name for name in venue_names(dataset) if name in wanted]
+
+
 def summarize(
     dataset: CategorizedScores, venues: Sequence[str] | None = None
 ) -> list[SummaryRow]:
-    """Build summary rows (per venue plus pooled), sorted by venue name.
+    """Build summary rows for the venues select_venues picks, in its order.
 
     With venues=None, venues without decisive matches are omitted; naming one
     explicitly raises EmptyVenue instead.
     """
-    if venues is None:
-        selected = venue_names(dataset)
-        required = False
-    else:
-        selected = [resolve_venue(dataset, v) for v in venues]
-        required = True
-
     rows = []
-    for name in selected:
+    for name in select_venues(dataset, venues):
         samples = dataset[name]
         n_first = samples[CaseLabel.BAT_FIRST_WIN].size
         n_second = samples[CaseLabel.BAT_SECOND_WIN].size
         total = n_first + n_second
         if total == 0:
-            if required:
+            if venues is not None:
                 raise EmptyVenue(f"venue {name!r} has no decisive full-length matches")
             continue
         rows.append(

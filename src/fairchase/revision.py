@@ -46,21 +46,23 @@ class RevisionModel:
     win_ratio: float
     dist_bat_first_win: FittedDist
     dist_bat_second_win: FittedDist
-    family: Family
     quantile_cap: int
 
     def __post_init__(self):
         if not (math.isfinite(self.win_ratio) and self.win_ratio > 0):
             raise FairchaseError(f"win_ratio must be finite and positive, got {self.win_ratio}")
-        if not (self.dist_bat_first_win.family is self.family is self.dist_bat_second_win.family):
-            raise FairchaseError("both fitted distributions must use the model's family")
+        if self.dist_bat_first_win.family is not self.dist_bat_second_win.family:
+            raise FairchaseError("both fitted distributions must be of one family")
+
+    @property
+    def family(self) -> Family:
+        return self.dist_bat_first_win.family
 
 
 @dataclass(frozen=True)
 class RevisedTarget:
     actual: int
     revised: int
-    family: Family
     #: The CDF level the revised target was read off at.
     q_internal: float
 
@@ -92,7 +94,6 @@ def build_model(
         win_ratio=n_first / n_second,
         dist_bat_first_win=fit(samples[CaseLabel.BAT_FIRST_WIN].scores, family, config),
         dist_bat_second_win=fit(samples[CaseLabel.BAT_SECOND_WIN].scores, family, config),
-        family=family,
         quantile_cap=config.quantile_cap,
     )
 
@@ -111,7 +112,7 @@ def revise_target(model: RevisionModel, actual: int) -> RevisedTarget:
             f"(required CDF level {q:.6f})"
         )
     revised = quantile(model.dist_bat_second_win, q, cap=model.quantile_cap)
-    return RevisedTarget(actual=actual, revised=revised, family=model.family, q_internal=q)
+    return RevisedTarget(actual=actual, revised=revised, q_internal=q)
 
 
 @dataclass(frozen=True)

@@ -117,35 +117,27 @@ def check_equalization(config: SimConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class SyntheticVenueSpec:
-    """Recipe for one venue's synthetic matches.
-
-    case_counts gives the number of score observations per case;
-    winner and loser counts must pair up because each decisive match
-    contributes one of each.
+    """Recipe for one venue's synthetic matches: the decisive matches won
+    batting first and batting second, and a law for each case's scores.
     """
 
     venue: str
-    case_counts: Mapping[CaseLabel, int]
+    bat_first_wins: int
+    bat_second_wins: int
     case_dists: Mapping[CaseLabel, FittedDist]
 
     def __post_init__(self):
-        counts = {label: int(self.case_counts.get(label, 0)) for label in CaseLabel}
-        if any(c < 0 for c in counts.values()):
-            raise InconsistentSpec(f"venue {self.venue!r}: case counts must be non-negative")
-        if counts[CaseLabel.BAT_FIRST_WIN] != counts[CaseLabel.BAT_SECOND_LOSE]:
-            raise InconsistentSpec(
-                f"venue {self.venue!r}: bat-first-win count must equal bat-second-lose count"
-            )
-        if counts[CaseLabel.BAT_SECOND_WIN] != counts[CaseLabel.BAT_FIRST_LOSE]:
-            raise InconsistentSpec(
-                f"venue {self.venue!r}: bat-second-win count must equal bat-first-lose count"
-            )
-        for label, count in counts.items():
-            if count > 0 and label not in self.case_dists:
+        if self.bat_first_wins < 0 or self.bat_second_wins < 0:
+            raise InconsistentSpec(f"venue {self.venue!r}: match counts must be non-negative")
+        for label in CaseLabel:
+            if self.count(label) > 0 and label not in self.case_dists:
                 raise InconsistentSpec(f"venue {self.venue!r}: no distribution for {label.value}")
 
     def count(self, label: CaseLabel) -> int:
-        return int(self.case_counts.get(label, 0))
+        """Scores of one case: each decisive match gives one winner's and one loser's."""
+        if label in (CaseLabel.BAT_FIRST_WIN, CaseLabel.BAT_SECOND_LOSE):
+            return self.bat_first_wins
+        return self.bat_second_wins
 
 
 def _draw_winners(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
@@ -240,12 +232,8 @@ def default_synthetic_spec(
         specs.append(
             SyntheticVenueSpec(
                 venue=f"venue{v:02d}",
-                case_counts={
-                    CaseLabel.BAT_FIRST_WIN: bfw,
-                    CaseLabel.BAT_SECOND_LOSE: bfw,
-                    CaseLabel.BAT_SECOND_WIN: bsw,
-                    CaseLabel.BAT_FIRST_LOSE: bsw,
-                },
+                bat_first_wins=bfw,
+                bat_second_wins=bsw,
                 case_dists={
                     CaseLabel.BAT_FIRST_WIN: win_dist,
                     CaseLabel.BAT_SECOND_LOSE: lose_dist,

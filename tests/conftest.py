@@ -54,12 +54,8 @@ def tiny_records() -> list[MatchRecord]:
 def synthetic_records() -> list[MatchRecord]:
     spec = SyntheticVenueSpec(
         venue="Synthville",
-        case_counts={
-            CaseLabel.BAT_FIRST_WIN: 120,
-            CaseLabel.BAT_SECOND_LOSE: 120,
-            CaseLabel.BAT_SECOND_WIN: 80,
-            CaseLabel.BAT_FIRST_LOSE: 80,
-        },
+        bat_first_wins=120,
+        bat_second_wins=80,
         case_dists={
             CaseLabel.BAT_FIRST_WIN: FittedDist.negbin(8.0, 8.0 / 208.0),
             CaseLabel.BAT_SECOND_LOSE: FittedDist.negbin(8.0, 8.0 / 158.0),

@@ -102,6 +102,24 @@ class TestSummary:
         assert first == second
 
 
+class TestVenueSelection:
+    """--venues names each venue once, in venue order, whatever the command."""
+
+    GOLDEN_DATA = str(ROOT / "tests" / "golden" / "matches.csv")
+
+    def test_summary_sorted_with_pooled_last(self, cli):
+        venues = "Fremantle,overall,Auckland,auckland"
+        code, out, _ = cli("summary", "--data", self.GOLDEN_DATA, "--venues", venues)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["Auckland", "Fremantle", "overall"]
+
+    def test_venue_named_twice_runs_once(self, cli):
+        code, out, _ = cli("fit", "--data", self.GOLDEN_DATA, "--venues", "Auckland,auckland")
+        assert code == 0 and len(json.loads(out)) == 4
+        code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--venues", "Auckland,auckland")
+        assert code == 0 and out.splitlines()[-1] == "validate: 10 checks, 0 failures"
+
+
 class TestFit:
     def test_emits_json_fits(self, cli, data_csv):
         code, out, _ = cli("fit", "--data", data_csv, "--venues", "venue01")
@@ -563,6 +581,18 @@ class TestReadmeParity:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         for command in ("summary", "fit", "curves", "revise", "report", "simulate", "generate", "validate"):
             assert f"`{command}" in readme or f"fairchase {command}" in readme
+
+    def test_python_examples_run(self, tmp_path, monkeypatch):
+        """Every python block of the README runs, in order in one namespace,
+        next to the odi.csv that `fairchase generate --seed 0` writes."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--seed", "0", "--out", "odi.csv"]) == 0
+        namespace: dict = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
 
     def test_exit_codes_documented_in_readme(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

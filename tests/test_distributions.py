@@ -100,9 +100,9 @@ class TestParams:
     def test_negbin_mean(self):
         assert NegBinParams(8.0, 0.04).mean == pytest.approx(192.0)
 
-    def test_family_params_must_match(self):
+    def test_params_of_no_family_raise(self):
         with pytest.raises(InvalidParams):
-            FittedDist(family=Family.NORMAL, params=NegBinParams(1.0, 0.5))
+            FittedDist(params=(1.0, 0.5))
 
 
 class TestPmf:
@@ -352,6 +352,9 @@ class TestArrayQuantile:
         qs = np.linspace(0.0, 0.99, 12).reshape(3, 4)
         assert quantile(dist, qs).tolist() == [[quantile(dist, float(q)) for q in row] for row in qs]
         assert quantile(dist, np.array([])).shape == (0,)
+        for q in (0.0, 0.7, 1.0):  # a 0-d array is one probability
+            x, warned = _quantile_warned(dist, np.array(q), 2000)
+            assert type(x) is int and (x, warned) == _quantile_warned(dist, q, 2000)
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(InvalidParams):
                 quantile(dist, np.array([0.5, bad]))

@@ -43,12 +43,8 @@ def counted_dataset(
     """Synthetic dataset with exact decisive-win counts for one venue."""
     spec = SyntheticVenueSpec(
         venue=venue,
-        case_counts={
-            CaseLabel.BAT_FIRST_WIN: n_first_wins,
-            CaseLabel.BAT_SECOND_LOSE: n_first_wins,
-            CaseLabel.BAT_SECOND_WIN: n_second_wins,
-            CaseLabel.BAT_FIRST_LOSE: n_second_wins,
-        },
+        bat_first_wins=n_first_wins,
+        bat_second_wins=n_second_wins,
         case_dists={
             CaseLabel.BAT_FIRST_WIN: WIN_DIST,
             CaseLabel.BAT_SECOND_LOSE: LOSE_DIST,
@@ -71,7 +67,6 @@ def identity_model(dist: FittedDist) -> RevisionModel:
         win_ratio=1.0,
         dist_bat_first_win=dist,
         dist_bat_second_win=dist,
-        family=dist.family,
         quantile_cap=2000,
     )
 
@@ -115,7 +110,6 @@ class TestBuildModel:
                 win_ratio=1.0,
                 dist_bat_first_win=WIN_DIST,
                 dist_bat_second_win=FittedDist.normal(192.0, 40.0),
-                family=Family.NEGBIN,
                 quantile_cap=2000,
             )
 
@@ -126,7 +120,6 @@ class TestBuildModel:
                 win_ratio=0.0,
                 dist_bat_first_win=WIN_DIST,
                 dist_bat_second_win=WIN_DIST,
-                family=Family.NEGBIN,
                 quantile_cap=2000,
             )
 
@@ -176,7 +169,6 @@ class TestReviseTarget:
             win_ratio=1.4,
             dist_bat_first_win=WIN_DIST,
             dist_bat_second_win=LOSE_DIST,
-            family=Family.NEGBIN,
             quantile_cap=2000,
         )
         assert all(
@@ -191,7 +183,6 @@ class TestReviseTarget:
             win_ratio=2.0,
             dist_bat_first_win=WIN_DIST,
             dist_bat_second_win=WIN_DIST,
-            family=Family.NEGBIN,
             quantile_cap=2000,
         )
         with pytest.raises(TargetUnattainable):
@@ -218,7 +209,6 @@ class TestReviseTarget:
             win_ratio=ratio,
             dist_bat_first_win=FittedDist.negbin(n, n / (n + mean_first)),
             dist_bat_second_win=FittedDist.negbin(n, n / (n + mean_second)),
-            family=Family.NEGBIN,
             quantile_cap=100_000,
         )
         low, high = sorted(actual_pair)
@@ -243,7 +233,6 @@ class TestReviseTarget:
             win_ratio=ratio,
             dist_bat_first_win=FittedDist.negbin(n, n / (n + mean_first)),
             dist_bat_second_win=FittedDist.negbin(n, n / (n + mean_second)),
-            family=Family.NEGBIN,
             quantile_cap=100_000,
         )
         try:

@@ -85,7 +85,6 @@ def make_model(ratio: float = 1.0, second: FittedDist = NB_MODEL) -> RevisionMod
         win_ratio=ratio,
         dist_bat_first_win=NB_MODEL,
         dist_bat_second_win=second,
-        family=Family.NEGBIN,
         quantile_cap=2000,
     )
 
@@ -155,12 +154,8 @@ LOSE = FittedDist.negbin(8.0, 8.0 / 158.0)  # mean 150
 def spec_for(venue: str, bfw: int, bsw: int) -> SyntheticVenueSpec:
     return SyntheticVenueSpec(
         venue=venue,
-        case_counts={
-            CaseLabel.BAT_FIRST_WIN: bfw,
-            CaseLabel.BAT_SECOND_LOSE: bfw,
-            CaseLabel.BAT_SECOND_WIN: bsw,
-            CaseLabel.BAT_FIRST_LOSE: bsw,
-        },
+        bat_first_wins=bfw,
+        bat_second_wins=bsw,
         case_dists={
             CaseLabel.BAT_FIRST_WIN: WIN,
             CaseLabel.BAT_SECOND_LOSE: LOSE,
@@ -199,28 +194,12 @@ class TestSyntheticData:
         fitted_second = fit_nb(samples[CaseLabel.BAT_SECOND_WIN].scores)
         assert fitted_second.params.mean == pytest.approx(200.0, rel=0.02)
 
-    def test_mismatched_counts_rejected(self):
-        with pytest.raises(InconsistentSpec):
-            SyntheticVenueSpec(
-                venue="Bad",
-                case_counts={
-                    CaseLabel.BAT_FIRST_WIN: 10,
-                    CaseLabel.BAT_SECOND_LOSE: 9,
-                },
-                case_dists={
-                    CaseLabel.BAT_FIRST_WIN: WIN,
-                    CaseLabel.BAT_SECOND_LOSE: LOSE,
-                },
-            )
-
     def test_missing_distribution_rejected(self):
         with pytest.raises(InconsistentSpec):
             SyntheticVenueSpec(
                 venue="Bad",
-                case_counts={
-                    CaseLabel.BAT_FIRST_WIN: 10,
-                    CaseLabel.BAT_SECOND_LOSE: 10,
-                },
+                bat_first_wins=10,
+                bat_second_wins=0,
                 case_dists={CaseLabel.BAT_FIRST_WIN: WIN},
             )
 
@@ -259,7 +238,8 @@ def one_kind_spec(winner_dist: FittedDist, loser_dist: FittedDist, count: int) -
     return [
         SyntheticVenueSpec(
             venue="V",
-            case_counts={CaseLabel.BAT_FIRST_WIN: count, CaseLabel.BAT_SECOND_LOSE: count},
+            bat_first_wins=count,
+            bat_second_wins=0,
             case_dists={CaseLabel.BAT_FIRST_WIN: winner_dist, CaseLabel.BAT_SECOND_LOSE: loser_dist},
         )
     ]
