@@ -91,10 +91,11 @@ def _parse_int(key: str, text: str) -> int:
 
 
 def parse_target_grid(text: str) -> tuple[int, ...]:
+    """Each listed target once, in ascending order."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise FairchaseError("target_grid must list at least one target")
-    return tuple(_parse_int("target_grid", p) for p in parts)
+    return tuple(sorted({_parse_int("target_grid", p) for p in parts}))
 
 
 def parse_venue_list(text: str) -> tuple[str, ...]:

@@ -100,8 +100,6 @@ class MatchRecord:
 class CaseSample:
     """All scores observed for one case at one venue, stored sorted."""
 
-    venue: str
-    case: CaseLabel
     scores: tuple[int, ...]
 
     @property
@@ -241,9 +239,11 @@ def serialize_matches(records: Iterable[MatchRecord]) -> str:
     """CSV text that parse_matches reads back into an identical record list."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # csv quotes only the line terminator's "\n", so a row holding a "\r" is quoted whole
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow(
+        (quoted if "\r" in rec.match_id + rec.venue else writer).writerow(
             [
                 rec.match_id,
                 rec.venue,
@@ -290,14 +290,14 @@ def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, Case
     for key in sorted(scores, key=lambda k: display[k]):
         name = display[key]
         dataset[name] = {
-            label: CaseSample(name, label, tuple(sorted(values)))
+            label: CaseSample(tuple(sorted(values)))
             for label, values in scores[key].items()
         }
         for label, values in scores[key].items():
             pooled[label].extend(values)
     if records:
         dataset[OVERALL_VENUE] = {
-            label: CaseSample(OVERALL_VENUE, label, tuple(sorted(values)))
+            label: CaseSample(tuple(sorted(values)))
             for label, values in pooled.items()
         }
     return dataset

@@ -166,7 +166,7 @@ def revision_report(
     Venues or fits that cannot support a model are reported with a skipped
     status rather than dropped, so the output always accounts for every
     venue in the dataset. Rows are ordered venue (pooled entry last), then
-    family in the requested order, then target ascending.
+    family in the requested order, then target in grid order.
     """
     families = tuple(families)
     grid = tuple(target_grid)

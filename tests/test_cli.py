@@ -117,7 +117,7 @@ class TestVenueSelection:
         code, out, _ = cli("fit", "--data", self.GOLDEN_DATA, "--venues", "Auckland,auckland")
         assert code == 0 and len(json.loads(out)) == 4
         code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--venues", "Auckland,auckland")
-        assert code == 0 and out.splitlines()[-1] == "validate: 10 checks, 0 failures"
+        assert code == 0 and out.splitlines()[-1] == "validate: 7 checks, 0 failures"
 
 
 class TestFit:
@@ -301,6 +301,13 @@ class TestReport:
         assert doc["target_grid"] == [300, 315, 330, 340, 350]
         assert all(cell["status"] == "ok" for cell in doc["targets"])
 
+    def test_target_grid_sorted_and_once(self, cli):
+        """A grid listed out of order, or with a target twice, reports each target once, ascending."""
+        base = ("report", "--data", str(ROOT / "tests" / "golden" / "matches.csv"), "--venues", "Auckland")
+        code, out, _ = cli(*base, "--family", "nb", "--target-grid", "350,300,350")
+        assert code == 0
+        assert (code, out) == cli(*base, "--family", "nb", "--target-grid", "300,350")[:2]
+
 
 class TestSimulate:
     def test_deterministic_json(self, cli, data_csv):
@@ -389,6 +396,29 @@ class TestValidate:
         assert code == 4
         assert "FAIL: csv round trip preserves records" in out
 
+    GOLDEN_DATA = str(ROOT / "tests" / "golden" / "matches.csv")
+
+    def test_unsorted_target_grid_passes(self, cli):
+        code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--venues", "Auckland", "--target-grid", "350,300")
+        assert code == 0, out
+        assert out.splitlines()[-1] == "validate: 7 checks, 0 failures"
+
+    def test_target_past_the_int64_range_passes(self, cli):
+        """Past every fitted tail the equalizing level is 1, so the revised target is the cap, with a warning."""
+        with pytest.warns(fairchase.DegenerateQuantileWarning):
+            code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--target-grid", f"300,{10**20}")
+        assert code == 0, out
+        assert out.splitlines()[-1].endswith(" 0 failures")
+
+    def test_carriage_return_in_quoted_id_passes(self, cli, tmp_path):
+        path = tmp_path / "cr.csv"
+        text = Path(self.GOLDEN_DATA).read_text(encoding="utf-8")
+        path.write_bytes((text + '"g\r999",Auckland,,250,200,BatFirstWin,false\n').encode())
+        assert any("\r" in r.match_id for r in parse_matches(path))
+        code, out, _ = cli("validate", "--data", str(path))
+        assert code == 0, out
+        assert out.splitlines()[0] == "ok: csv round trip preserves records"
+
 
 class TestConfigFile:
     def test_file_values_used(self, cli, data_csv, tmp_path):
@@ -430,6 +460,14 @@ class TestConfigFile:
         assert code == 0
         actuals = {line.split(",")[2] for line in out.splitlines()[1:] if line.count(",") >= 5}
         assert actuals == {"320", "340"}
+
+    def test_grid_sorted_and_once_from_file_and_flag(self, data_csv, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"data = {data_csv}\ntarget_grid = 340, 320, 340\n")
+        parser = _build_parser()
+        from_file = _resolve_config(parser.parse_args(["report", "--config", str(cfg)]))
+        from_flag = _resolve_config(parser.parse_args(["report", "--target-grid", "340,320,340"]))
+        assert from_file.target_grid == from_flag.target_grid == (320, 340)
 
 
 #: config key -> (a value that changes the default, a value that must exit 2)

@@ -266,6 +266,16 @@ class TestProperties:
         assert parse_matches(io.StringIO(serialize_matches(records))) == records
 
     @settings(max_examples=60, deadline=None)
+    @given(record_lists())
+    def test_round_trip_quotes_carriage_returns(self, records):
+        """csv quotes only the line terminator's "\\n", so a "\\r" row is written quoted, and no other byte moves."""
+        text = serialize_matches(records)
+        cr = MatchRecord("m\r999", "Port\rElizabeth", None, 250, 200, Outcome.BAT_FIRST_WIN, False)
+        written = serialize_matches([*records, cr])
+        assert written.startswith(text)
+        assert parse_matches(io.StringIO(written)) == [*records, cr]
+
+    @settings(max_examples=60, deadline=None)
     @given(record_lists(), st.randoms())
     def test_categorize_permutation_invariant(self, records, rng):
         shuffled = list(records)
@@ -285,6 +295,23 @@ class TestProperties:
             assert row.pct_bat_first_win + row.pct_bat_second_win == pytest.approx(
                 100.0, abs=1e-9
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_lists())
+    def test_case_sizes_pair_and_count_decisive_records(self, records):
+        """Each decisive full-length match gives one winner's and one loser's score, under its venue's casefold."""
+        dataset = categorize(records)
+        wins: dict[tuple[str, Outcome], int] = {}
+        for rec in records:
+            if rec.decisive and not rec.reduced_overs:
+                for venue in (rec.venue.casefold(), OVERALL_VENUE):
+                    wins[venue, rec.outcome] = wins.get((venue, rec.outcome), 0) + 1
+        for venue, samples in dataset.items():
+            sizes = {label: sample.size for label, sample in samples.items()}
+            assert sizes[CaseLabel.BAT_FIRST_WIN] == sizes[CaseLabel.BAT_SECOND_LOSE]
+            assert sizes[CaseLabel.BAT_SECOND_WIN] == sizes[CaseLabel.BAT_FIRST_LOSE]
+            assert sizes[CaseLabel.BAT_FIRST_WIN] == wins.get((venue.casefold(), Outcome.BAT_FIRST_WIN), 0)
+            assert sizes[CaseLabel.BAT_SECOND_WIN] == wins.get((venue.casefold(), Outcome.BAT_SECOND_WIN), 0)
 
 
 class TestSummarize:
