@@ -303,7 +303,7 @@ class TestReport:
 
     def test_target_grid_sorted_and_once(self, cli):
         """A grid listed out of order, or with a target twice, reports each target once, ascending."""
-        base = ("report", "--data", str(ROOT / "tests" / "golden" / "matches.csv"), "--venues", "Auckland")
+        base = ("report", "--data", TestVenueSelection.GOLDEN_DATA, "--venues", "Auckland")
         code, out, _ = cli(*base, "--family", "nb", "--target-grid", "350,300,350")
         assert code == 0
         assert (code, out) == cli(*base, "--family", "nb", "--target-grid", "300,350")[:2]
@@ -396,7 +396,7 @@ class TestValidate:
         assert code == 4
         assert "FAIL: csv round trip preserves records" in out
 
-    GOLDEN_DATA = str(ROOT / "tests" / "golden" / "matches.csv")
+    GOLDEN_DATA = TestVenueSelection.GOLDEN_DATA
 
     def test_unsorted_target_grid_passes(self, cli):
         code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--venues", "Auckland", "--target-grid", "350,300")
