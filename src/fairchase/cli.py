@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -23,6 +24,7 @@ import numpy as np
 from .config import SETTINGS, AppConfig, LOW_TARGET_WARNING_THRESHOLD, Setting, load_config_file
 from .distributions import Family, FittedDist, fit, fitted_to_json, pmf, survival
 from .errors import (
+    DegenerateQuantileWarning,
     FairchaseError,
     InconsistentSpec,
     InsufficientSample,
@@ -50,20 +52,13 @@ from .revision import (
     revise_target,
     revision_report,
 )
-from .simulate import SimConfig, check_equalization, default_synthetic_spec, generate_synthetic_dataset
+from .simulate import check_equalization, default_synthetic_spec, generate_synthetic_dataset
 
 _FIT_ERRORS = (InsufficientSample, UnderdispersedSample, ZeroVariance)
 _MODEL_ERRORS = _FIT_ERRORS + (TargetUnattainable, InconsistentSpec, InvalidParams)
 
 #: Scores per pmf evaluation when validate sums a pmf up to the quantile cap.
 _PMF_BLOCK = 1 << 16
-
-_CASE_COLUMNS = {
-    CaseLabel.BAT_FIRST_WIN: "bat_first_win",
-    CaseLabel.BAT_FIRST_LOSE: "bat_first_lose",
-    CaseLabel.BAT_SECOND_WIN: "bat_second_win",
-    CaseLabel.BAT_SECOND_LOSE: "bat_second_lose",
-}
 
 _EXIT_CODE_HELP = (
     "exit codes: 0 success, 2 input or configuration error, "
@@ -103,36 +98,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sub.add_parser(
-        "summary", parents=[common], help="per-venue match counts, win rates, and scoring averages"
-    )
-    sub.add_parser("fit", parents=[common], help="fit the four case distributions per venue (JSON)")
-    sub.add_parser("curves", parents=[common], help="write per-venue survival-curve CSVs to --out")
+    def add(name: str, run: Callable[..., int], help: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, parents=[common], help=help)
+        command.set_defaults(run=run)
+        return command
 
-    revise = sub.add_parser("revise", parents=[common], help="equalized chase target for one venue")
+    add("summary", _cmd_summary, "per-venue match counts, win rates, and scoring averages")
+    add("fit", _cmd_fit, "fit the four case distributions per venue (JSON)")
+    add("curves", _cmd_curves, "write per-venue survival-curve CSVs to --out")
+
+    revise = add("revise", _cmd_revise, "equalized chase target for one venue")
     revise.add_argument("--venue", required=True, help="venue to model")
     revise.add_argument("--target", required=True, type=int, help="actual first-innings target")
 
-    sub.add_parser(
-        "report", parents=[common], help="revised targets and bias totals across venues and families"
-    )
+    add("report", _cmd_report, "revised targets and bias totals across venues and families")
 
-    simulate = sub.add_parser(
-        "simulate", parents=[common], help="Monte Carlo check of the equalization identity (JSON)"
-    )
+    simulate = add("simulate", _cmd_simulate, "Monte Carlo check of the equalization identity (JSON)")
     simulate.add_argument("--venue", required=True, help="venue to model")
     simulate.add_argument("--target", required=True, type=int, help="actual first-innings target")
     simulate.add_argument("--trials", type=int, default=100_000, help="simulation trials (default 100000)")
 
-    generate = sub.add_parser(
-        "generate", parents=[common], help="write a synthetic match CSV with known parameters"
-    )
+    generate = add("generate", _cmd_generate, "write a synthetic match CSV with known parameters")
     generate.add_argument("--num-venues", type=int, default=2, help="synthetic venues (default 2)")
     generate.add_argument(
         "--matches", type=int, default=100, help="decisive matches per venue (default 100)"
     )
 
-    sub.add_parser("validate", parents=[common], help="run the invariant suite against the dataset")
+    add("validate", _cmd_validate, "run the invariant suite against the dataset")
     return parser
 
 
@@ -181,9 +173,9 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
     for name in select_venues(dataset, config.venues):
         for label in CaseLabel:
             try:
-                dist = fit(dataset[name][label].scores, config.fit_family, fit_config)
+                dist = fit(dataset[name][label], config.fit_family, fit_config)
             except _FIT_ERRORS as exc:
-                _warn(f"skipping {name}/{_CASE_COLUMNS[label]}: {exc}")
+                _warn(f"skipping {name}/{label.name.lower()}: {exc}")
                 continue
             entries.append((name, label.value, dist))
     _emit(fitted_to_json(entries), args.out)
@@ -194,7 +186,7 @@ def _curves_csv(fits: Mapping[CaseLabel, FittedDist], max_score: int) -> str:
     scores = np.arange(-1, max_score + 1)
     columns = [survival(fits[label], scores).tolist() for label in CaseLabel]
     row = "%d" + ",%.12g" * len(columns)
-    lines = ["score," + ",".join(_CASE_COLUMNS[label] for label in CaseLabel)]
+    lines = ["score," + ",".join(label.name.lower() for label in CaseLabel)]
     lines.extend(row % values for values in zip(scores.tolist(), *columns))
     return "\n".join(lines) + "\n"
 
@@ -216,7 +208,7 @@ def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
         fits = {}
         try:
             for label in CaseLabel:
-                fits[label] = fit(dataset[name][label].scores, config.fit_family, fit_config)
+                fits[label] = fit(dataset[name][label], config.fit_family, fit_config)
         except _FIT_ERRORS as exc:
             _warn(f"skipping venue {name!r}: {exc}")
             continue
@@ -268,9 +260,7 @@ def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
 def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
-    result = check_equalization(
-        SimConfig(model=model, actual_target=args.target, n_trials=args.trials, seed=config.seed)
-    )
+    result = check_equalization(model, args.target, args.trials, config.seed)
     if result.degenerate:
         _warn("an estimate landed on the boundary; its standard error is degenerate")
     _emit(json.dumps(result.to_dict(), indent=2), args.out)
@@ -343,29 +333,20 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     return 4 if failures else 0
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace, AppConfig], int]] = {
-    "summary": _cmd_summary,
-    "fit": _cmd_fit,
-    "curves": _cmd_curves,
-    "revise": _cmd_revise,
-    "report": _cmd_report,
-    "simulate": _cmd_simulate,
-    "generate": _cmd_generate,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = _resolve_config(args)
-        return _COMMANDS[args.command](args, config)
-    except _MODEL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FairchaseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # each cap hit is its own warning line, not Python's once-per-site report
+        warnings.simplefilter("always", DegenerateQuantileWarning)
+        warnings.showwarning = lambda message, *_: _warn(str(message))
+        try:
+            return args.run(args, _resolve_config(args))
+        except _MODEL_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (FairchaseError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def run() -> None:

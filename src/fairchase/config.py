@@ -9,8 +9,8 @@ typos fail loudly instead of silently using a default.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import IO, Callable, NamedTuple, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .distributions import DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
 from .errors import FairchaseError
@@ -134,17 +134,14 @@ SETTINGS = (
 _SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
 
 
-def load_config_file(source: Union[str, os.PathLike, IO[str]], base: AppConfig | None = None) -> AppConfig:
-    """Apply ``key = value`` settings from a config file on top of base.
+def load_config_file(path: str | os.PathLike) -> AppConfig:
+    """Defaults overridden by the ``key = value`` settings in a config file.
 
     Blank lines and lines starting with ``#`` are ignored. Unknown keys and
     unparseable values raise FairchaseError.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    else:
-        lines = source.readlines()
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.readlines()
 
     overrides = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -160,4 +157,4 @@ def load_config_file(source: Union[str, os.PathLike, IO[str]], base: AppConfig |
             raise FairchaseError(f"config line {lineno}: unknown key {key!r}")
         overrides[setting.field] = setting.parse(value)
 
-    return replace(base if base is not None else AppConfig(), **overrides)
+    return AppConfig(**overrides)

@@ -96,25 +96,9 @@ class MatchRecord:
         return self.outcome in (Outcome.BAT_FIRST_WIN, Outcome.BAT_SECOND_WIN)
 
 
-@dataclass(frozen=True)
-class CaseSample:
-    """All scores observed for one case at one venue, stored sorted."""
-
-    scores: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.scores)
-
-    @property
-    def mean(self) -> float:
-        if not self.scores:
-            return math.nan
-        return sum(self.scores) / len(self.scores)
-
-
-#: Map from venue (plus the pooled OVERALL_VENUE entry) to its four samples.
-CategorizedScores = Mapping[str, Mapping[CaseLabel, CaseSample]]
+#: Map from venue (plus the pooled OVERALL_VENUE entry) to each case's
+#: scores, sorted.
+CategorizedScores = Mapping[str, Mapping[CaseLabel, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -257,7 +241,7 @@ def serialize_matches(records: Iterable[MatchRecord]) -> str:
     return out.getvalue()
 
 
-def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, CaseSample]]:
+def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, tuple[int, ...]]]:
     """Classify innings scores into the four cases, per venue and pooled.
 
     Ties, no-results, and reduced-overs matches are excluded. Venues are
@@ -285,21 +269,15 @@ def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, Case
             venue_scores[CaseLabel.BAT_SECOND_WIN].append(rec.second_innings_runs)
             venue_scores[CaseLabel.BAT_FIRST_LOSE].append(rec.first_innings_runs)
 
-    dataset: dict[str, dict[CaseLabel, CaseSample]] = {}
+    dataset: dict[str, dict[CaseLabel, tuple[int, ...]]] = {}
     pooled: dict[CaseLabel, list[int]] = {label: [] for label in CaseLabel}
     for key in sorted(scores, key=lambda k: display[k]):
         name = display[key]
-        dataset[name] = {
-            label: CaseSample(tuple(sorted(values)))
-            for label, values in scores[key].items()
-        }
+        dataset[name] = {label: tuple(sorted(values)) for label, values in scores[key].items()}
         for label, values in scores[key].items():
             pooled[label].extend(values)
     if records:
-        dataset[OVERALL_VENUE] = {
-            label: CaseSample(tuple(sorted(values)))
-            for label, values in pooled.items()
-        }
+        dataset[OVERALL_VENUE] = {label: tuple(sorted(values)) for label, values in pooled.items()}
     return dataset
 
 
@@ -340,8 +318,8 @@ def summarize(
     rows = []
     for name in select_venues(dataset, venues):
         samples = dataset[name]
-        n_first = samples[CaseLabel.BAT_FIRST_WIN].size
-        n_second = samples[CaseLabel.BAT_SECOND_WIN].size
+        n_first = len(samples[CaseLabel.BAT_FIRST_WIN])
+        n_second = len(samples[CaseLabel.BAT_SECOND_WIN])
         total = n_first + n_second
         if total == 0:
             if venues is not None:
@@ -352,14 +330,18 @@ def summarize(
                 venue=name,
                 total_matches=total,
                 pct_bat_first_win=100.0 * n_first / total,
-                avg_bat_first_win=samples[CaseLabel.BAT_FIRST_WIN].mean,
-                avg_bat_second_lose=samples[CaseLabel.BAT_SECOND_LOSE].mean,
+                avg_bat_first_win=_mean(samples[CaseLabel.BAT_FIRST_WIN]),
+                avg_bat_second_lose=_mean(samples[CaseLabel.BAT_SECOND_LOSE]),
                 pct_bat_second_win=100.0 * n_second / total,
-                avg_bat_second_win=samples[CaseLabel.BAT_SECOND_WIN].mean,
-                avg_bat_first_lose=samples[CaseLabel.BAT_FIRST_LOSE].mean,
+                avg_bat_second_win=_mean(samples[CaseLabel.BAT_SECOND_WIN]),
+                avg_bat_first_lose=_mean(samples[CaseLabel.BAT_FIRST_LOSE]),
             )
         )
     return rows
+
+
+def _mean(scores: Sequence[int]) -> float:
+    return sum(scores) / len(scores) if scores else math.nan
 
 
 def round_half_away(x: float, ndigits: int = 0) -> float:

@@ -81,8 +81,8 @@ def build_model(
     """
     key = resolve_venue(dataset, venue)
     samples = dataset[key]
-    n_first = samples[CaseLabel.BAT_FIRST_WIN].size
-    n_second = samples[CaseLabel.BAT_SECOND_WIN].size
+    n_first = len(samples[CaseLabel.BAT_FIRST_WIN])
+    n_second = len(samples[CaseLabel.BAT_SECOND_WIN])
     for label, size in ((CaseLabel.BAT_FIRST_WIN, n_first), (CaseLabel.BAT_SECOND_WIN, n_second)):
         if size < config.min_sample_size:
             raise InsufficientSample(
@@ -92,8 +92,8 @@ def build_model(
     return RevisionModel(
         venue=key,
         win_ratio=n_first / n_second,
-        dist_bat_first_win=fit(samples[CaseLabel.BAT_FIRST_WIN].scores, family, config),
-        dist_bat_second_win=fit(samples[CaseLabel.BAT_SECOND_WIN].scores, family, config),
+        dist_bat_first_win=fit(samples[CaseLabel.BAT_FIRST_WIN], family, config),
+        dist_bat_second_win=fit(samples[CaseLabel.BAT_SECOND_WIN], family, config),
         quantile_cap=config.quantile_cap,
     )
 

@@ -46,20 +46,6 @@ def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    model: RevisionModel
-    actual_target: int
-    n_trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise FairchaseError(f"n_trials must be at least 1, got {self.n_trials}")
-        if self.seed < 0:
-            raise FairchaseError(f"seed must be non-negative, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class SimResult:
     """Simulated exceedance probabilities on both sides of the equalization
     identity, with binomial standard errors."""
@@ -88,30 +74,33 @@ def _estimate(draws: np.ndarray, threshold: int, trials: int) -> tuple[float, fl
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def check_equalization(config: SimConfig) -> SimResult:
+def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, seed: int) -> SimResult:
     """Estimate both sides of the equalization identity by simulation.
 
     Draws n_trials scores from each winning-score distribution on
     independent substreams and reports the fractions exceeding the actual
     and revised targets. Propagates TargetUnattainable from the revision.
     """
-    model = config.model
-    revised = revise_target(model, config.actual_target).revised
-    first_seq, second_seq = np.random.SeedSequence(config.seed).spawn(2)
-    first_draws = _draw(np.random.default_rng(first_seq), model.dist_bat_first_win, config.n_trials)
-    second_draws = _draw(np.random.default_rng(second_seq), model.dist_bat_second_win, config.n_trials)
-    est_first, se_first = _estimate(first_draws, config.actual_target, config.n_trials)
-    est_second, se_second = _estimate(second_draws, revised, config.n_trials)
+    if n_trials < 1:
+        raise FairchaseError(f"n_trials must be at least 1, got {n_trials}")
+    if seed < 0:
+        raise FairchaseError(f"seed must be non-negative, got {seed}")
+    revised = revise_target(model, actual_target).revised
+    first_seq, second_seq = np.random.SeedSequence(seed).spawn(2)
+    first_draws = _draw(np.random.default_rng(first_seq), model.dist_bat_first_win, n_trials)
+    second_draws = _draw(np.random.default_rng(second_seq), model.dist_bat_second_win, n_trials)
+    est_first, se_first = _estimate(first_draws, actual_target, n_trials)
+    est_second, se_second = _estimate(second_draws, revised, n_trials)
     return SimResult(
         venue=model.venue,
-        actual_target=config.actual_target,
+        actual_target=actual_target,
         revised_target=revised,
         win_ratio=model.win_ratio,
         est_first_exceed=est_first,
         se_first_exceed=se_first,
         est_second_exceed=est_second,
         se_second_exceed=se_second,
-        trials=config.n_trials,
+        trials=n_trials,
     )
 
 

@@ -29,7 +29,6 @@ from fairchase import (
     FittedDist,
     InsufficientSample,
     RevisionModel,
-    SimConfig,
     UnderdispersedSample,
     ZeroVariance,
     categorize,
@@ -260,7 +259,7 @@ def test_criterion_7_normalization_and_monotonicity():
         for label in CaseLabel:
             for family in Family:
                 try:
-                    fitted_models.append(fit(samples[label].scores, family))
+                    fitted_models.append(fit(samples[label], family))
                 except (InsufficientSample, UnderdispersedSample, ZeroVariance):
                     continue
     assert len(fitted_models) >= 24
@@ -277,9 +276,8 @@ def test_criterion_7_normalization_and_monotonicity():
 def test_criterion_8_monte_carlo_consistency():
     for family in Family:
         model = _synthetic_models(family)[-1]  # pooled venue, largest samples
-        config = SimConfig(model=model, actual_target=330, n_trials=1_000_000, seed=99)
-        result = check_equalization(config)
-        rerun = check_equalization(config)
+        result = check_equalization(model, 330, 1_000_000, 99)
+        rerun = check_equalization(model, 330, 1_000_000, 99)
         assert result == rerun
         assert json.dumps(result.to_dict()) == json.dumps(rerun.to_dict())
 

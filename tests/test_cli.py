@@ -25,6 +25,7 @@ from fairchase.cli import _build_parser, _resolve_config, main
 from fairchase.config import SETTINGS, AppConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+CAP_WARNING = "quantile at probability 1 is unbounded; returning cap 2000"
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +253,19 @@ class TestRevise:
         assert code == 0
         assert "below 300" in err
 
+    def test_cap_warning_is_a_cli_warning_line(self, cli):
+        """A library warning reaches stderr as one `warning:` line, not Python's report of it."""
+        golden = TestVenueSelection.GOLDEN_DATA
+        code, out, err = cli(
+            "revise", "--data", golden, "--venue", "Auckland", "--family", "normal", "--target", str(10**20)
+        )
+        assert code == 0
+        assert out == (
+            "venue,family,actual_target,revised_target,q_internal\n"
+            "Auckland,normal,100000000000000000000,2000,1.000000\n"
+        )
+        assert err == f"warning: {CAP_WARNING}\n"
+
     def test_unattainable_exits_3(self, cli, data_csv):
         code, _, err = cli("revise", "--data", data_csv, "--venue", "venue01", "--target", "50")
         assert code == 3
@@ -405,10 +419,18 @@ class TestValidate:
 
     def test_target_past_the_int64_range_passes(self, cli):
         """Past every fitted tail the equalizing level is 1, so the revised target is the cap, with a warning."""
-        with pytest.warns(fairchase.DegenerateQuantileWarning):
-            code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--target-grid", f"300,{10**20}")
+        code, out, err = cli("validate", "--data", self.GOLDEN_DATA, "--target-grid", f"300,{10**20}")
         assert code == 0, out
         assert out.splitlines()[-1].endswith(" 0 failures")
+        assert f"warning: {CAP_WARNING}" in err.splitlines()
+
+    @pytest.mark.parametrize("family", ["normal", "logistic"])
+    def test_every_cap_hit_warns(self, cli, family):
+        """Six venues hit the cap at the huge target; each prints its own line, not one per process."""
+        argv = ("validate", "--data", self.GOLDEN_DATA, "--family", family, "--target-grid", f"300,{10**20}")
+        code, out, err = cli(*argv)
+        assert code == 0, out
+        assert err.splitlines().count(f"warning: {CAP_WARNING}") == 6
 
     def test_carriage_return_in_quoted_id_passes(self, cli, tmp_path):
         path = tmp_path / "cr.csv"
@@ -558,6 +580,14 @@ class TestEntryPoints:
         cli = _run_python("-c", loaded.format("fairchase.cli"))
         assert bare.returncode == 0 and cli.returncode == 0, bare.stderr + cli.stderr
         assert cli.stdout == bare.stdout
+
+    def test_all_lists_the_public_names_the_root_binds(self):
+        public = {
+            name
+            for name, value in vars(fairchase).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert sorted(fairchase.__all__) == sorted(public)
 
     def test_package_version_matches_pyproject(self):
         # a regex, not tomllib, which Python 3.10 lacks

@@ -49,7 +49,7 @@ import pytest
 
 import fairchase.distributions as distributions
 from fairchase import CaseLabel, categorize, fit, parse_family, parse_matches, survival
-from fairchase.cli import _CASE_COLUMNS, _FIT_ERRORS, _curves_csv, main
+from fairchase.cli import _FIT_ERRORS, _curves_csv, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN / "matches.csv"
@@ -204,10 +204,10 @@ def test_curves_csv_bytes_match_scalar_formatting(family):
     written = 0
     for samples in dataset.values():
         try:
-            fits = {label: fit(samples[label].scores, parse_family(family)) for label in CaseLabel}
+            fits = {label: fit(samples[label], parse_family(family)) for label in CaseLabel}
         except _FIT_ERRORS:
             continue
-        lines = ["score," + ",".join(_CASE_COLUMNS[label] for label in CaseLabel)]
+        lines = ["score,bat_first_win,bat_first_lose,bat_second_win,bat_second_lose"]
         for score in range(-1, 1101):
             values = ",".join(f"{survival(fits[label], score):.12g}" for label in CaseLabel)
             lines.append(f"{score},{values}")

@@ -174,28 +174,28 @@ class TestCategorize:
         rows = parse_text("m1,Sydney,,248,200,BatFirstWin,false\n")
         dataset = categorize(rows)
         samples = dataset["Sydney"]
-        assert samples[CaseLabel.BAT_FIRST_WIN].scores == (248,)
-        assert samples[CaseLabel.BAT_SECOND_LOSE].scores == (200,)
-        assert samples[CaseLabel.BAT_SECOND_WIN].scores == ()
-        assert samples[CaseLabel.BAT_FIRST_LOSE].scores == ()
+        assert samples[CaseLabel.BAT_FIRST_WIN] == (248,)
+        assert samples[CaseLabel.BAT_SECOND_LOSE] == (200,)
+        assert samples[CaseLabel.BAT_SECOND_WIN] == ()
+        assert samples[CaseLabel.BAT_FIRST_LOSE] == ()
 
     def test_tie_contributes_nothing(self):
         rows = parse_text("m1,Sydney,,240,240,Tie,false\n")
         samples = categorize(rows)["Sydney"]
-        assert all(samples[label].scores == () for label in CaseLabel)
+        assert all(samples[label] == () for label in CaseLabel)
 
     def test_reduced_overs_excluded(self, tiny_records):
         dataset = categorize(tiny_records)
-        assert 300 not in dataset["Beta"][CaseLabel.BAT_FIRST_WIN].scores
+        assert 300 not in dataset["Beta"][CaseLabel.BAT_FIRST_WIN]
 
     def test_exclusions_and_pooling(self, tiny_records):
         dataset = categorize(tiny_records)
         assert venue_names(dataset) == ["Alpha", "Beta", OVERALL_VENUE]
         overall = dataset[OVERALL_VENUE]
-        assert overall[CaseLabel.BAT_FIRST_WIN].scores == (180, 250)
-        assert overall[CaseLabel.BAT_SECOND_WIN].scores == (221, 261)
-        assert overall[CaseLabel.BAT_SECOND_LOSE].scores == (150, 200)
-        assert overall[CaseLabel.BAT_FIRST_LOSE].scores == (220, 260)
+        assert overall[CaseLabel.BAT_FIRST_WIN] == (180, 250)
+        assert overall[CaseLabel.BAT_SECOND_WIN] == (221, 261)
+        assert overall[CaseLabel.BAT_SECOND_LOSE] == (150, 200)
+        assert overall[CaseLabel.BAT_FIRST_LOSE] == (220, 260)
 
     def test_two_scores_per_decisive_match(self, tiny_records):
         dataset = categorize(tiny_records)
@@ -203,7 +203,7 @@ class TestCategorize:
             1 for r in tiny_records if r.decisive and not r.reduced_overs
         )
         overall = dataset[OVERALL_VENUE]
-        assert sum(overall[label].size for label in CaseLabel) == 2 * decisive
+        assert sum(len(overall[label]) for label in CaseLabel) == 2 * decisive
 
     def test_venue_merge_is_case_insensitive(self):
         rows = parse_text(
@@ -212,8 +212,8 @@ class TestCategorize:
         dataset = categorize(rows)
         names = venue_names(dataset)
         assert names == ["Sydney", OVERALL_VENUE]
-        assert dataset["Sydney"][CaseLabel.BAT_FIRST_WIN].scores == (248,)
-        assert dataset["Sydney"][CaseLabel.BAT_SECOND_WIN].scores == (231,)
+        assert dataset["Sydney"][CaseLabel.BAT_FIRST_WIN] == (248,)
+        assert dataset["Sydney"][CaseLabel.BAT_SECOND_WIN] == (231,)
 
     def test_empty_input_has_no_overall(self):
         assert categorize([]) == {}
@@ -284,12 +284,20 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(record_lists())
+    def test_samples_are_sorted_int_tuples(self, records):
+        for samples in categorize(records).values():
+            for scores in samples.values():
+                assert type(scores) is tuple and all(type(x) is int for x in scores)
+                assert list(scores) == sorted(scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_lists())
     def test_win_percentage_identity(self, records):
         dataset = categorize(records)
         for row in summarize(dataset):
             samples = dataset[row.venue]
-            n_first = samples[CaseLabel.BAT_FIRST_WIN].size
-            n_second = samples[CaseLabel.BAT_SECOND_WIN].size
+            n_first = len(samples[CaseLabel.BAT_FIRST_WIN])
+            n_second = len(samples[CaseLabel.BAT_SECOND_WIN])
             assert row.total_matches == n_first + n_second
             assert row.pct_bat_first_win == 100.0 * n_first / row.total_matches
             assert row.pct_bat_first_win + row.pct_bat_second_win == pytest.approx(
@@ -307,7 +315,7 @@ class TestProperties:
                 for venue in (rec.venue.casefold(), OVERALL_VENUE):
                     wins[venue, rec.outcome] = wins.get((venue, rec.outcome), 0) + 1
         for venue, samples in dataset.items():
-            sizes = {label: sample.size for label, sample in samples.items()}
+            sizes = {label: len(scores) for label, scores in samples.items()}
             assert sizes[CaseLabel.BAT_FIRST_WIN] == sizes[CaseLabel.BAT_SECOND_LOSE]
             assert sizes[CaseLabel.BAT_SECOND_WIN] == sizes[CaseLabel.BAT_FIRST_LOSE]
             assert sizes[CaseLabel.BAT_FIRST_WIN] == wins.get((venue.casefold(), Outcome.BAT_FIRST_WIN), 0)

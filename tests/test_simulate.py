@@ -16,7 +16,6 @@ from fairchase import (
     FittedDist,
     InconsistentSpec,
     RevisionModel,
-    SimConfig,
     SyntheticVenueSpec,
     categorize,
     cdf,
@@ -91,15 +90,13 @@ def make_model(ratio: float = 1.0, second: FittedDist = NB_MODEL) -> RevisionMod
 
 class TestCheckEqualization:
     def test_identity_model_estimates_agree(self):
-        config = SimConfig(model=make_model(), actual_target=300, n_trials=1_000_000, seed=5)
-        result = check_equalization(config)
+        result = check_equalization(make_model(), 300, 1_000_000, 5)
         combined = 4.0 * (result.se_first_exceed + result.se_second_exceed)
         assert abs(result.est_second_exceed - result.est_first_exceed) <= combined
 
     def test_estimates_match_analytic_survival(self):
         model = make_model(ratio=1.3, second=FittedDist.negbin(9.0, 9.0 / 190.0))
-        config = SimConfig(model=model, actual_target=320, n_trials=400_000, seed=8)
-        result = check_equalization(config)
+        result = check_equalization(model, 320, 400_000, 8)
         analytic_first = survival(model.dist_bat_first_win, 320)
         analytic_second = survival(model.dist_bat_second_win, result.revised_target)
         assert abs(result.est_first_exceed - analytic_first) <= 4.0 * result.se_first_exceed
@@ -107,8 +104,7 @@ class TestCheckEqualization:
 
     def test_identity_bound_with_pmf_step(self):
         model = make_model(ratio=1.3, second=FittedDist.negbin(9.0, 9.0 / 190.0))
-        config = SimConfig(model=model, actual_target=320, n_trials=400_000, seed=8)
-        result = check_equalization(config)
+        result = check_equalization(model, 320, 400_000, 8)
         bound = 4.0 * (
             result.se_second_exceed + model.win_ratio * result.se_first_exceed
         ) + pmf(model.dist_bat_second_win, result.revised_target)
@@ -118,12 +114,11 @@ class TestCheckEqualization:
         )
 
     def test_deterministic_across_calls(self):
-        config = SimConfig(model=make_model(), actual_target=310, n_trials=50_000, seed=21)
-        assert check_equalization(config) == check_equalization(config)
+        model = make_model()
+        assert check_equalization(model, 310, 50_000, 21) == check_equalization(model, 310, 50_000, 21)
 
     def test_single_trial_degenerate(self):
-        config = SimConfig(model=make_model(), actual_target=300, n_trials=1, seed=3)
-        result = check_equalization(config)
+        result = check_equalization(make_model(), 300, 1, 3)
         assert result.est_first_exceed in (0.0, 1.0)
         assert result.est_second_exceed in (0.0, 1.0)
         assert result.se_first_exceed == 0.0
@@ -131,18 +126,20 @@ class TestCheckEqualization:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(FairchaseError):
-            SimConfig(model=make_model(), actual_target=300, n_trials=0, seed=0)
+            check_equalization(make_model(), 300, 0, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(FairchaseError):
+            check_equalization(make_model(), 300, 10, -1)
 
     def test_propagates_unattainable(self):
         from fairchase import TargetUnattainable
 
-        config = SimConfig(model=make_model(ratio=2.0), actual_target=50, n_trials=10, seed=0)
         with pytest.raises(TargetUnattainable):
-            check_equalization(config)
+            check_equalization(make_model(ratio=2.0), 50, 10, 0)
 
     def test_result_serializes(self):
-        config = SimConfig(model=make_model(), actual_target=300, n_trials=1000, seed=5)
-        doc = check_equalization(config).to_dict()
+        doc = check_equalization(make_model(), 300, 1000, 5).to_dict()
         assert doc["trials"] == 1000
         assert 0.0 <= doc["est_first_exceed"] <= 1.0
 
@@ -169,10 +166,10 @@ class TestSyntheticData:
     def test_counts_reproduced_exactly(self):
         records = generate_synthetic_dataset([spec_for("Alpha", 50, 30)], seed=1)
         samples = categorize(records)["Alpha"]
-        assert samples[CaseLabel.BAT_FIRST_WIN].size == 50
-        assert samples[CaseLabel.BAT_SECOND_LOSE].size == 50
-        assert samples[CaseLabel.BAT_SECOND_WIN].size == 30
-        assert samples[CaseLabel.BAT_FIRST_LOSE].size == 30
+        assert len(samples[CaseLabel.BAT_FIRST_WIN]) == 50
+        assert len(samples[CaseLabel.BAT_SECOND_LOSE]) == 50
+        assert len(samples[CaseLabel.BAT_SECOND_WIN]) == 30
+        assert len(samples[CaseLabel.BAT_FIRST_LOSE]) == 30
 
     def test_records_satisfy_outcome_invariants(self, synthetic_records):
         # MatchRecord construction validates; surviving a parse round trip
@@ -189,9 +186,9 @@ class TestSyntheticData:
     def test_winner_marginal_preserved(self):
         records = generate_synthetic_dataset([spec_for("Alpha", 1100, 900)], seed=13)
         samples = categorize(records)["Alpha"]
-        fitted = fit_nb(samples[CaseLabel.BAT_FIRST_WIN].scores)
+        fitted = fit_nb(samples[CaseLabel.BAT_FIRST_WIN])
         assert fitted.params.mean == pytest.approx(200.0, rel=0.02)
-        fitted_second = fit_nb(samples[CaseLabel.BAT_SECOND_WIN].scores)
+        fitted_second = fit_nb(samples[CaseLabel.BAT_SECOND_WIN])
         assert fitted_second.params.mean == pytest.approx(200.0, rel=0.02)
 
     def test_missing_distribution_rejected(self):
