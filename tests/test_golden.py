@@ -10,7 +10,9 @@ tie, a no-result and reduced-overs rows. index.json lists each command,
 its arguments and its exit code; the other files hold its stdout (for
 curves, the files it writes).
 
-Integers, statuses, counts and validate verdicts must match exactly.
+Integers, statuses, counts and validate verdicts must match exactly, and
+so must every byte of summary.csv, validate_*.txt and report.json (the
+three-family report with full-precision q_internal).
 Floating-point values may move within these tolerances, no further:
 
 - fitted parameters: 1e-5 relative (the dispersion search resolves n to
@@ -68,7 +70,7 @@ SIM_SE_ABS = 1e-6
 
 def golden_cases() -> dict[str, list[str]]:
     """Golden file name -> command line (without --data)."""
-    cases = {"summary.csv": ["summary"]}
+    cases = {"summary.csv": ["summary"], "report.json": ["report", "--format", "json"]}
     for family in FAMILIES:
         flag = ["--family", family]
         cases[f"fit_{family}.json"] = ["fit", *flag]
@@ -172,7 +174,7 @@ def _compare_simulate(got: str, want: str, what: str) -> None:
 
 def compare(name: str, got: str, want: str) -> None:
     command = name.split("_")[0].split(".")[0]
-    if command in ("revise", "report"):
+    if command in ("revise", "report") and name.endswith(".csv"):
         _compare_csv(got, want, {"q_internal": Q_INTERNAL_ABS}, name)
     elif command == "curves":
         _compare_curves(got, want, name)

@@ -231,7 +231,7 @@ outcome_strategy = st.sampled_from(list(Outcome))
 @st.composite
 def match_records(draw, index: int):
     outcome = draw(outcome_strategy)
-    venue = draw(st.sampled_from(["Alpha", "Beta", "Gamma"]))
+    venue = draw(st.sampled_from(["Alpha", "alpha", "ALPHA", "Beta", "beta", "Gamma"]))
     reduced = draw(st.booleans())
     first = draw(st.integers(min_value=1, max_value=400))
     if outcome is Outcome.BAT_FIRST_WIN:
@@ -278,14 +278,22 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(record_lists(), st.randoms())
     def test_categorize_permutation_invariant(self, records, rng):
+        """Same venues in the same order, each under its lexicographically least spelling."""
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert categorize(shuffled) == categorize(records)
+        dataset = categorize(records)
+        assert list(categorize(shuffled).items()) == list(dataset.items())
+        spellings: dict[str, str] = {}
+        for rec in records:
+            key = rec.venue.casefold()
+            spellings[key] = min(spellings.get(key, rec.venue), rec.venue)
+        assert [v for v in dataset if v != OVERALL_VENUE] == sorted(spellings.values())
 
     @settings(max_examples=60, deadline=None)
     @given(record_lists())
     def test_samples_are_sorted_int_tuples(self, records):
         for samples in categorize(records).values():
+            assert list(samples) == list(CaseLabel)
             for scores in samples.values():
                 assert type(scores) is tuple and all(type(x) is int for x in scores)
                 assert list(scores) == sorted(scores)
