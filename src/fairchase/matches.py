@@ -49,6 +49,9 @@ class Outcome(str, Enum):
     NO_RESULT = "NoResult"
 
 
+_OUTCOMES = {o.value: o for o in Outcome}
+
+
 class CaseLabel(str, Enum):
     """The four experimental cases a decisive innings score falls into."""
 
@@ -116,27 +119,21 @@ class SummaryRow:
     avg_bat_first_lose: float
 
 
-Source = Union[str, os.PathLike, IO[bytes], IO[str]]
+Source = Union[str, os.PathLike, IO[str]]
 
 
 def parse_matches(source: Source) -> list[MatchRecord]:
     """Parse match records from CSV.
 
-    source may be a filesystem path or an open binary/text stream. Every row
-    is validated against the record invariants; the first offending row
-    raises MalformedRow, InconsistentOutcome, or DuplicateMatchId with its
-    line number.
+    source may be a filesystem path or an open text stream. Every row is
+    validated against the record invariants; the first offending row raises
+    MalformedRow, InconsistentOutcome, or DuplicateMatchId with its line
+    number.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return _parse_stream(handle)
-    if isinstance(source, io.TextIOBase):
-        return _parse_stream(source)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
-        return _parse_stream(text)
-    finally:
-        text.detach()
+    return _parse_stream(source)
 
 
 def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
@@ -184,9 +181,8 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
     first = _parse_runs("first_innings_runs", first_text, line)
     second = _parse_runs("second_innings_runs", second_text, line)
 
-    try:
-        outcome = Outcome(outcome_text)
-    except ValueError:
+    outcome = _OUTCOMES.get(outcome_text)
+    if outcome is None:
         raise MalformedRow(
             f"outcome must be one of {[o.value for o in Outcome]}, got {outcome_text!r}",
             row=line,
@@ -195,15 +191,7 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
         raise MalformedRow(f"reduced_overs must be true or false, got {reduced_text!r}", row=line)
 
     try:
-        return MatchRecord(
-            match_id=match_id,
-            venue=venue.strip(),
-            date=date,
-            first_innings_runs=first,
-            second_innings_runs=second,
-            outcome=outcome,
-            reduced_overs=reduced_text == "true",
-        )
+        return MatchRecord(match_id, venue.strip(), date, first, second, outcome, reduced_text == "true")
     except (MalformedRow, InconsistentOutcome) as exc:
         raise type(exc)(str(exc), row=line) from None
 
@@ -250,35 +238,38 @@ def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, tupl
     sorted, so the result is invariant under input permutation.
     """
     display: dict[str, str] = {}
-    scores: dict[str, dict[CaseLabel, list[int]]] = {}
+    scores: dict[str, tuple[list[int], ...]] = {}  # each venue's samples in CaseLabel order
     for rec in records:
-        key = rec.venue.casefold()
-        prior = display.get(key)
-        if prior is None or rec.venue < prior:
-            display[key] = rec.venue  # deterministic spelling: lexicographic min
-        scores.setdefault(key, {label: [] for label in CaseLabel})
-
-    for rec in records:
-        if not rec.decisive or rec.reduced_overs:
+        venue = rec.venue
+        key = venue.casefold()
+        samples = scores.get(key)
+        if samples is None:
+            samples = scores[key] = ([], [], [], [])
+            display[key] = venue
+        elif venue < display[key]:
+            display[key] = venue  # deterministic spelling: lexicographic min
+        if rec.reduced_overs:
             continue
-        venue_scores = scores[rec.venue.casefold()]
         if rec.outcome is Outcome.BAT_FIRST_WIN:
-            venue_scores[CaseLabel.BAT_FIRST_WIN].append(rec.first_innings_runs)
-            venue_scores[CaseLabel.BAT_SECOND_LOSE].append(rec.second_innings_runs)
-        else:
-            venue_scores[CaseLabel.BAT_SECOND_WIN].append(rec.second_innings_runs)
-            venue_scores[CaseLabel.BAT_FIRST_LOSE].append(rec.first_innings_runs)
+            samples[0].append(rec.first_innings_runs)  # BAT_FIRST_WIN
+            samples[3].append(rec.second_innings_runs)  # BAT_SECOND_LOSE
+        elif rec.outcome is Outcome.BAT_SECOND_WIN:
+            samples[2].append(rec.second_innings_runs)  # BAT_SECOND_WIN
+            samples[1].append(rec.first_innings_runs)  # BAT_FIRST_LOSE
 
     dataset: dict[str, dict[CaseLabel, tuple[int, ...]]] = {}
-    pooled: dict[CaseLabel, list[int]] = {label: [] for label in CaseLabel}
-    for key in sorted(scores, key=lambda k: display[k]):
-        name = display[key]
-        dataset[name] = {label: tuple(sorted(values)) for label, values in scores[key].items()}
-        for label, values in scores[key].items():
-            pooled[label].extend(values)
-    if records:
-        dataset[OVERALL_VENUE] = {label: tuple(sorted(values)) for label, values in pooled.items()}
+    pooled: tuple[list[int], ...] = ([], [], [], [])
+    for key in sorted(scores, key=display.__getitem__):
+        dataset[display[key]] = _by_label(scores[key])
+        for values, more in zip(pooled, scores[key]):
+            values.extend(more)
+    if scores:
+        dataset[OVERALL_VENUE] = _by_label(pooled)
     return dataset
+
+
+def _by_label(samples: Sequence[list[int]]) -> dict[CaseLabel, tuple[int, ...]]:
+    return {label: tuple(sorted(values)) for label, values in zip(CaseLabel, samples)}
 
 
 def venue_names(dataset: CategorizedScores) -> list[str]:

@@ -108,6 +108,13 @@ class TestParse:
             parse_text(f"m1,Sydney,,{runs},200,BatFirstWin,false\n")
         assert exc_info.value.row == 2
 
+    def test_unknown_outcome_message(self):
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_text("m1,Sydney,,248,200,HomeWin,false\n")
+        assert str(exc_info.value) == (
+            "row 2: outcome must be one of ['BatFirstWin', 'BatSecondWin', 'Tie', 'NoResult'], got 'HomeWin'"
+        )
+
     def test_runs_with_leading_zeros_accepted(self):
         assert parse_text("m1,Sydney,,0248,0,BatFirstWin,false\n")[0].first_innings_runs == 248
 
@@ -158,10 +165,6 @@ class TestParse:
     def test_date_may_be_empty(self):
         rows = parse_text("m1,Sydney,,248,200,BatFirstWin,false\n")
         assert rows[0].date is None
-
-    def test_binary_stream_accepted(self):
-        data = (HEADER_LINE + "\nm1,Sydney,,248,200,BatFirstWin,false\n").encode()
-        assert len(parse_matches(io.BytesIO(data))) == 1
 
     def test_path_accepted(self, tmp_path):
         path = tmp_path / "matches.csv"
