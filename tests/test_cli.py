@@ -315,6 +315,34 @@ class TestReport:
         assert doc["target_grid"] == [300, 315, 330, 340, 350]
         assert all(cell["status"] == "ok" for cell in doc["targets"])
 
+    EMPTY_JSON = (
+        '{\n  "families": [\n    %s\n  ],\n  "target_grid": [\n    300,\n    315,\n    330,\n'
+        '    340,\n    350\n  ],\n  "targets": [],\n  "bias_totals": [],\n  "venue_status": [\n'
+        '    {\n      "venue": "",\n      "family": "%s",\n      "status": "empty dataset"\n'
+        "    }\n  ]\n}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ("--format", "json"),
+                EMPTY_JSON % ('"negbin",\n    "normal",\n    "logistic"', "negbin"),
+            ),
+            (("--format", "json", "--family", "logistic"), EMPTY_JSON % ('"logistic"', "logistic")),
+            (
+                ("--format", "csv"),
+                "venue,family,actual_target,revised_target,q_internal,status\n\n"
+                "venue,family,bias_total,status\n",
+            ),
+        ],
+    )
+    def test_empty_dataset_bytes(self, cli, tmp_path, flags, expected):
+        """A header-only CSV reports no cells, no totals and one "empty dataset" status row."""
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(fairchase.CSV_HEADER) + "\n", encoding="utf-8")
+        assert cli("report", "--data", str(path), *flags) == (0, expected, "")
+
     def test_target_grid_sorted_and_once(self, cli):
         """A grid listed out of order, or with a target twice, reports each target once, ascending."""
         base = ("report", "--data", TestVenueSelection.GOLDEN_DATA, "--venues", "Auckland")
