@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple
 
 from .distributions import DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
 from .errors import FairchaseError
+from .revision import DEFAULT_TARGET_GRID
 
-DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
 DEFAULT_CURVE_MAX_SCORE = 600
 DEFAULT_SEED = 0
 

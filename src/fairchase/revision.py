@@ -23,6 +23,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from .distributions import (
@@ -36,6 +37,8 @@ from .distributions import (
 )
 from .errors import FairchaseError, InsufficientSample, TargetUnattainable
 from .matches import CaseLabel, CategorizedScores, resolve_venue, venue_names
+
+DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
 
 
 @dataclass(frozen=True)
@@ -126,95 +129,73 @@ class TargetCell:
 
 
 @dataclass(frozen=True)
-class BiasRow:
-    """Sum of (actual - revised) over the target grid at one venue and family.
-
-    Positive totals mean the venue systematically overburdens the chasing
-    side at those scores.
-    """
-
-    venue: str
-    family: Family
-    total: int | None
-    status: str
-
-
-@dataclass(frozen=True)
-class VenueStatus:
-    venue: str
-    family: Family
-    status: str
-
-
-@dataclass(frozen=True)
 class RevisionReport:
     families: tuple[Family, ...]
     target_grid: tuple[int, ...]
     cells: tuple[TargetCell, ...]
-    bias_rows: tuple[BiasRow, ...]
-    venue_status: tuple[VenueStatus, ...]
 
 
 def revision_report(
     dataset: CategorizedScores,
     families: Sequence[Family] = (Family.NEGBIN, Family.NORMAL, Family.LOGISTIC),
-    target_grid: Sequence[int] = (300, 315, 330, 340, 350),
+    target_grid: Sequence[int] = DEFAULT_TARGET_GRID,
     config: FitConfig = DEFAULT_FIT_CONFIG,
 ) -> RevisionReport:
     """Revised targets for every venue, family, and grid point.
 
     Venues or fits that cannot support a model are reported with a skipped
     status rather than dropped, so the output always accounts for every
-    venue in the dataset. Rows are ordered venue (pooled entry last), then
-    family in the requested order, then target in grid order.
+    venue in the dataset. Cells are ordered venue (pooled entry last), then
+    family in the requested order, then target in grid order. Raises
+    FairchaseError when families is empty or repeats a family, or when the
+    grid is empty: a bias total is a sum over one family's whole grid.
     """
     families = tuple(families)
     grid = tuple(target_grid)
+    if not families or len(set(families)) < len(families):
+        raise FairchaseError(f"families must be non-empty and distinct, got {families}")
+    if not grid:
+        raise FairchaseError("target grid must not be empty")
     cells: list[TargetCell] = []
-    bias_rows: list[BiasRow] = []
-    status_rows: list[VenueStatus] = []
-
-    names = venue_names(dataset)
-    if not names:
-        status_rows.append(VenueStatus("", families[0] if families else Family.NEGBIN, "empty dataset"))
-
-    for name in names:
+    for name in venue_names(dataset):
         for family in families:
             try:
                 model = build_model(dataset, name, family, config)
             except FairchaseError as exc:
                 reason = f"skipped: {exc}"
-                status_rows.append(VenueStatus(name, family, reason))
                 for actual in grid:
                     cells.append(TargetCell(name, family, actual, None, None, reason))
-                bias_rows.append(BiasRow(name, family, None, reason))
                 continue
-            status_rows.append(VenueStatus(name, family, "ok"))
-            total = 0
-            attainable = True
             for actual in grid:
                 try:
                     result = revise_target(model, actual)
                 except TargetUnattainable:
                     cells.append(TargetCell(name, family, actual, None, None, "unattainable"))
-                    attainable = False
                     continue
                 cells.append(
                     TargetCell(name, family, actual, result.revised, result.q_internal, "ok")
                 )
-                total += actual - result.revised
-            if attainable:
-                bias_rows.append(BiasRow(name, family, total, "ok"))
-            else:
-                bias_rows.append(BiasRow(name, family, None, "unattainable at some targets"))
+    return RevisionReport(families=families, target_grid=grid, cells=tuple(cells))
 
-    return RevisionReport(
-        families=families,
-        target_grid=grid,
-        cells=tuple(cells),
-        bias_rows=tuple(bias_rows),
-        venue_status=tuple(status_rows),
-    )
+
+def bias_totals(report: RevisionReport) -> list[tuple[str, Family, int | None, str]]:
+    """(venue, family, total, status) for each venue and family, in cell order.
+
+    The total is the sum of (actual - revised) over the target grid; positive
+    totals mean the venue systematically overburdens the chasing side at those
+    scores. It is None when the model was skipped, with the skip reason as
+    status, or when some target is unattainable.
+    """
+    rows = []
+    for (venue, family), group in groupby(report.cells, key=lambda c: (c.venue, c.family)):
+        group = list(group)
+        if group[0].status.startswith("skipped:"):
+            rows.append((venue, family, None, group[0].status))
+        elif all(c.status == "ok" for c in group):
+            rows.append((venue, family, sum(c.actual - c.revised for c in group), "ok"))
+        else:
+            rows.append((venue, family, None, "unattainable at some targets"))
+    return rows
 
 
 def report_to_csv(report: RevisionReport) -> str:
@@ -234,14 +215,17 @@ def report_to_csv(report: RevisionReport) -> str:
         )
     writer.writerow([])
     writer.writerow(["venue", "family", "bias_total", "status"])
-    for row in report.bias_rows:
-        writer.writerow(
-            [row.venue, row.family.value, "" if row.total is None else row.total, row.status]
-        )
+    for venue, family, total, status in bias_totals(report):
+        writer.writerow([venue, family.value, "" if total is None else total, status])
     return out.getvalue()
 
 
 def report_to_json(report: RevisionReport) -> str:
+    totals = bias_totals(report)
+    venue_status = [
+        {"venue": v, "family": f.value, "status": s if s.startswith("skipped:") else "ok"}
+        for v, f, _, s in totals
+    ] or [{"venue": "", "family": report.families[0].value, "status": "empty dataset"}]
     doc = {
         "families": [f.value for f in report.families],
         "target_grid": list(report.target_grid),
@@ -257,17 +241,9 @@ def report_to_json(report: RevisionReport) -> str:
             for c in report.cells
         ],
         "bias_totals": [
-            {
-                "venue": r.venue,
-                "family": r.family.value,
-                "bias_total": r.total,
-                "status": r.status,
-            }
-            for r in report.bias_rows
+            {"venue": venue, "family": family.value, "bias_total": total, "status": status}
+            for venue, family, total, status in totals
         ],
-        "venue_status": [
-            {"venue": s.venue, "family": s.family.value, "status": s.status}
-            for s in report.venue_status
-        ],
+        "venue_status": venue_status,
     }
     return json.dumps(doc, indent=2)

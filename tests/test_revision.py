@@ -19,6 +19,7 @@ from fairchase import (
     SyntheticVenueSpec,
     TargetUnattainable,
     UnknownVenue,
+    bias_totals,
     build_model,
     categorize,
     generate_synthetic_dataset,
@@ -54,10 +55,10 @@ def counted_dataset(
     return categorize(generate_synthetic_dataset([spec], seed=7))
 
 
-def bias_totals(dataset) -> dict[str, int | None]:
-    """Venue -> negative-binomial bias total over GRID, as revision_report sums it."""
+def nb_totals(dataset) -> dict[str, int | None]:
+    """Venue -> negative-binomial bias total over GRID, as bias_totals sums it."""
     report = revision_report(dataset, (Family.NEGBIN,), GRID)
-    return {row.venue: row.total for row in report.bias_rows}
+    return {venue: total for venue, _, total, _ in bias_totals(report)}
 
 
 def identity_model(dist: FittedDist) -> RevisionModel:
@@ -251,18 +252,18 @@ class TestBiasTotal:
         samples = counted_dataset(88, 88)["Alpha"]
         first = samples[CaseLabel.BAT_FIRST_WIN]
         dataset = {"Alpha": {**samples, CaseLabel.BAT_SECOND_WIN: first}}
-        assert abs(bias_totals(dataset)["Alpha"]) <= len(GRID)
+        assert abs(nb_totals(dataset)["Alpha"]) <= len(GRID)
 
     def test_matches_per_target_sum(self):
         dataset = counted_dataset(88, 61)
         model = build_model(dataset, "Alpha")
         expected = sum(a - revise_target(model, a).revised for a in GRID)
-        assert bias_totals(dataset)["Alpha"] == expected
+        assert nb_totals(dataset)["Alpha"] == expected
 
     def test_dominated_model_bias_positive(self):
         # win ratio 1.4, and chasing winners score like the first-innings losers
         dataset = counted_dataset(70, 50, second_win_dist=LOSE_DIST)
-        assert bias_totals(dataset)["Alpha"] > 0
+        assert nb_totals(dataset)["Alpha"] > 0
 
 
 class TestRevisionReport:
@@ -277,7 +278,7 @@ class TestRevisionReport:
         assert [c.venue for c in report.cells[:5]] == ["Alpha"] * 5
         assert [c.actual for c in report.cells[:5]] == list(GRID)
         assert all(c.status == "ok" for c in report.cells)
-        assert len(report.bias_rows) == len(venues) * len(families)
+        assert len(bias_totals(report)) == len(venues) * len(families)
 
     def test_family_order_respected(self):
         report = revision_report(
@@ -293,14 +294,25 @@ class TestRevisionReport:
         assert len(alpha_cells) == len(GRID)
         assert all(c.status.startswith("skipped:") for c in alpha_cells)
         assert all(c.revised is None for c in alpha_cells)
-        statuses = {s.venue: s.status for s in report.venue_status}
+        statuses = {venue: status for venue, _, _, status in bias_totals(report)}
         assert statuses["Alpha"].startswith("skipped:")
 
     def test_empty_dataset(self):
         report = revision_report({}, target_grid=GRID)
         assert report.cells == ()
-        assert len(report.venue_status) == 1
-        assert report.venue_status[0].status == "empty dataset"
+        assert bias_totals(report) == []
+        venue_status = json.loads(report_to_json(report))["venue_status"]
+        assert len(venue_status) == 1
+        assert venue_status[0]["status"] == "empty dataset"
+
+    @pytest.mark.parametrize(
+        "families, grid",
+        [((), GRID), ((Family.NEGBIN, Family.NEGBIN), GRID), ((Family.NEGBIN,), ())],
+    )
+    def test_rejects_empty_or_repeated_axes(self, families, grid):
+        """Each bias total sums one family's whole grid, so neither axis may be empty or repeat a family."""
+        with pytest.raises(FairchaseError):
+            revision_report(self.dataset(), families=families, target_grid=grid)
 
     def test_deterministic(self):
         first = revision_report(self.dataset(), target_grid=GRID)
