@@ -11,8 +11,8 @@ its arguments and its exit code; the other files hold its stdout (for
 curves, the files it writes).
 
 Integers, statuses, counts and validate verdicts must match exactly, and
-so must every byte of summary.csv, validate_*.txt and report.json (the
-three-family report with full-precision q_internal).
+so must every byte of summary.csv, validate_*.txt, report.json (the
+three-family report with full-precision q_internal) and revise_*.json.
 Floating-point values may move within these tolerances, no further:
 
 - fitted parameters: 1e-5 relative (the dispersion search resolves n to
@@ -75,6 +75,9 @@ def golden_cases() -> dict[str, list[str]]:
         flag = ["--family", family]
         cases[f"fit_{family}.json"] = ["fit", *flag]
         cases[f"revise_{family}.csv"] = ["revise", "--venue", "overall", "--target", "330", *flag]
+        cases[f"revise_{family}.json"] = [
+            "revise", "--venue", "overall", "--target", "330", "--format", "json", *flag
+        ]
         cases[f"revise_unattainable_{family}.csv"] = [
             "revise", "--venue", "Colombo", "--target", "300", *flag
         ]
