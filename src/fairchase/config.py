@@ -155,6 +155,9 @@ def load_config_file(path: str | os.PathLike) -> AppConfig:
         setting = _SETTINGS_BY_KEY.get(key)
         if setting is None:
             raise FairchaseError(f"config line {lineno}: unknown key {key!r}")
-        overrides[setting.field] = setting.parse(value)
+        try:
+            overrides[setting.field] = setting.parse(value)
+        except FairchaseError as exc:
+            raise FairchaseError(f"config line {lineno}: {exc}") from None
 
     return AppConfig(**overrides)

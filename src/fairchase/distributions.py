@@ -576,15 +576,19 @@ def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
 
 
 def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
-    """Inverse of fitted_to_dict; re-validates all parameter invariants."""
+    """Inverse of fitted_to_dict; checks field types, never coerces them, and
+    re-validates all parameter invariants."""
     try:
         params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
-        dist = FittedDist(
-            params,
-            int(doc["sample_size"]),
-            float(doc["log_likelihood"]),
-            bool(doc.get("degenerate_flag", False)),
-        )
+        size, loglik = doc["sample_size"], doc["log_likelihood"]
+        degenerate = doc.get("degenerate_flag", False)
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise TypeError(f"sample_size must be an integer, got {size!r}")
+        if isinstance(loglik, bool) or not isinstance(loglik, (int, float)):
+            raise TypeError(f"log_likelihood must be a number, got {loglik!r}")
+        if not isinstance(degenerate, bool):
+            raise TypeError(f"degenerate_flag must be true or false, got {degenerate!r}")
+        dist = FittedDist(params, size, float(loglik), degenerate)
         return str(doc["venue"]), str(doc["case"]), dist
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams(f"malformed fitted-distribution document: {exc}") from exc

@@ -503,6 +503,13 @@ class TestConfigFile:
         code, _, err = cli("summary", "--config", str(cfg))
         assert code == 2
 
+    def test_bad_value_names_its_line(self, cli, data_csv, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"data = {data_csv}\nseed = abc\n")
+        code, _, err = cli("summary", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: config line 2: seed must be an integer, got 'abc'\n"
+
     def test_grid_from_file(self, cli, data_csv, tmp_path):
         cfg = tmp_path / "app.cfg"
         cfg.write_text(f"data = {data_csv}\ntarget_grid = 320, 340\n")

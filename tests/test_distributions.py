@@ -695,6 +695,34 @@ class TestSerialization:
         with pytest.raises(InvalidParams):
             fitted_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("degenerate_flag", "false"),
+            ("degenerate_flag", 0),
+            ("sample_size", 12.9),
+            ("sample_size", 12.0),
+            ("sample_size", True),
+            ("sample_size", "12"),
+            ("log_likelihood", True),
+            ("log_likelihood", "-3.5"),
+            ("log_likelihood", None),
+        ],
+    )
+    def test_field_types_checked_not_coerced(self, key, value):
+        doc = fitted_to_dict(FittedDist.negbin(8.0, 0.04), "Sydney", "BatFirstWin")
+        doc[key] = value
+        with pytest.raises(InvalidParams, match="malformed fitted-distribution document"):
+            fitted_from_dict(doc)
+
+    def test_well_typed_fields_load(self):
+        doc = fitted_to_dict(FittedDist.negbin(8.0, 0.04), "Sydney", "BatFirstWin")
+        doc.update(sample_size=12, log_likelihood=-3, degenerate_flag=True)
+        _, _, dist = fitted_from_dict(doc)
+        assert (dist.sample_size, dist.log_likelihood, dist.degenerate) == (12, -3.0, True)
+        del doc["degenerate_flag"]
+        assert fitted_from_dict(doc)[2].degenerate is False
+
 
 class TestQuantileNoWarningOnNormalUse:
     def test_ordinary_quantiles_do_not_warn(self):
