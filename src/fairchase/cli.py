@@ -46,7 +46,10 @@ from .matches import (
     summary_to_json,
 )
 from .revision import (
+    CELL_COLUMNS,
     build_model,
+    cell_to_dict,
+    cell_to_row,
     report_to_csv,
     report_to_json,
     revise_target,
@@ -226,22 +229,15 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
             "the model is meant for tough chases and may be unreliable here"
         )
     model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
-    result = revise_target(model, args.target)
-    row = {
-        "venue": model.venue,
-        "family": model.family.value,
-        "actual_target": result.actual,
-        "revised_target": result.revised,
-        "q_internal": result.q_internal,
-    }
+    cell = revise_target(model, args.target)
+    columns = CELL_COLUMNS[:-1]  # a revised target's status is always "ok"
     if config.output_format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(row.keys())
-        writer.writerow({**row, "q_internal": f"{result.q_internal:.6f}"}.values())
+        csv.writer(out, lineterminator="\n").writerows([columns, cell_to_row(cell)[:-1]])
         text = out.getvalue()
     else:
-        text = json.dumps(row, indent=2)
+        values = cell_to_dict(cell)
+        text = json.dumps({key: values[key] for key in columns}, indent=2)
     _emit(text, args.out)
     return 0
 

@@ -576,8 +576,7 @@ def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
 
 
 def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
-    """Inverse of fitted_to_dict; checks field types, never coerces them, and
-    re-validates all parameter invariants."""
+    """Inverse of fitted_to_dict; checks field types and re-validates parameter invariants."""
     try:
         params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
         size, loglik = doc["sample_size"], doc["log_likelihood"]

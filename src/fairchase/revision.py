@@ -63,11 +63,37 @@ class RevisionModel:
 
 
 @dataclass(frozen=True)
-class RevisedTarget:
+class TargetCell:
+    """The revised target for one venue, family and actual target."""
+
+    venue: str
+    family: Family
     actual: int
-    revised: int
+    revised: int | None
     #: The CDF level the revised target was read off at.
-    q_internal: float
+    q_internal: float | None
+    status: str  # "ok", "unattainable", or "skipped: <reason>"
+
+
+#: Rendered cell columns, in order; revise writes all but status.
+CELL_COLUMNS = ("venue", "family", "actual_target", "revised_target", "q_internal", "status")
+
+
+def cell_to_dict(cell: TargetCell) -> dict:
+    """JSON-ready values of a cell, keyed by CELL_COLUMNS."""
+    return {
+        "venue": cell.venue, "family": cell.family.value, "actual_target": cell.actual,
+        "revised_target": cell.revised, "q_internal": cell.q_internal, "status": cell.status,
+    }
+
+
+def cell_to_row(cell: TargetCell) -> list:
+    """CSV fields of a cell in CELL_COLUMNS order: "" for None, q_internal to six decimals."""
+    revised, q = cell.revised, cell.q_internal
+    return [
+        cell.venue, cell.family.value, cell.actual,
+        "" if revised is None else revised, "" if q is None else f"{q:.6f}", cell.status,
+    ]
 
 
 def build_model(
@@ -101,8 +127,8 @@ def build_model(
     )
 
 
-def revise_target(model: RevisionModel, actual: int) -> RevisedTarget:
-    """Equalized second-innings target for an actual first-innings target.
+def revise_target(model: RevisionModel, actual: int) -> TargetCell:
+    """Equalized second-innings target for an actual first-innings target, as an "ok" cell.
 
     Raises TargetUnattainable when the equalizing CDF level is not positive.
     """
@@ -115,17 +141,7 @@ def revise_target(model: RevisionModel, actual: int) -> RevisedTarget:
             f"(required CDF level {q:.6f})"
         )
     revised = quantile(model.dist_bat_second_win, q, cap=model.quantile_cap)
-    return RevisedTarget(actual=actual, revised=revised, q_internal=q)
-
-
-@dataclass(frozen=True)
-class TargetCell:
-    venue: str
-    family: Family
-    actual: int
-    revised: int | None
-    q_internal: float | None
-    status: str  # "ok", "unattainable", or "skipped: <reason>"
+    return TargetCell(model.venue, model.family, actual, revised, q, "ok")
 
 
 @dataclass(frozen=True)
@@ -163,18 +179,13 @@ def revision_report(
                 model = build_model(dataset, name, family, config)
             except FairchaseError as exc:
                 reason = f"skipped: {exc}"
-                for actual in grid:
-                    cells.append(TargetCell(name, family, actual, None, None, reason))
+                cells.extend(TargetCell(name, family, actual, None, None, reason) for actual in grid)
                 continue
             for actual in grid:
                 try:
-                    result = revise_target(model, actual)
+                    cells.append(revise_target(model, actual))
                 except TargetUnattainable:
                     cells.append(TargetCell(name, family, actual, None, None, "unattainable"))
-                    continue
-                cells.append(
-                    TargetCell(name, family, actual, result.revised, result.q_internal, "ok")
-                )
     return RevisionReport(families=families, target_grid=grid, cells=tuple(cells))
 
 
@@ -201,22 +212,11 @@ def bias_totals(report: RevisionReport) -> list[tuple[str, Family, int | None, s
 def report_to_csv(report: RevisionReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["venue", "family", "actual_target", "revised_target", "q_internal", "status"])
-    for cell in report.cells:
-        writer.writerow(
-            [
-                cell.venue,
-                cell.family.value,
-                cell.actual,
-                "" if cell.revised is None else cell.revised,
-                "" if cell.q_internal is None else f"{cell.q_internal:.6f}",
-                cell.status,
-            ]
-        )
+    writer.writerow(CELL_COLUMNS)
+    writer.writerows(map(cell_to_row, report.cells))
     writer.writerow([])
     writer.writerow(["venue", "family", "bias_total", "status"])
-    for venue, family, total, status in bias_totals(report):
-        writer.writerow([venue, family.value, "" if total is None else total, status])
+    writer.writerows([v, f.value, "" if t is None else t, s] for v, f, t, s in bias_totals(report))
     return out.getvalue()
 
 
@@ -229,17 +229,7 @@ def report_to_json(report: RevisionReport) -> str:
     doc = {
         "families": [f.value for f in report.families],
         "target_grid": list(report.target_grid),
-        "targets": [
-            {
-                "venue": c.venue,
-                "family": c.family.value,
-                "actual_target": c.actual,
-                "revised_target": c.revised,
-                "q_internal": c.q_internal,
-                "status": c.status,
-            }
-            for c in report.cells
-        ],
+        "targets": list(map(cell_to_dict, report.cells)),
         "bias_totals": [
             {"venue": venue, "family": family.value, "bias_total": total, "status": status}
             for venue, family, total, status in totals

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,14 @@ from fairchase import (
     InsufficientSample,
     RevisionModel,
     SyntheticVenueSpec,
+    TargetCell,
     TargetUnattainable,
     UnknownVenue,
     bias_totals,
     build_model,
     categorize,
     generate_synthetic_dataset,
+    parse_matches,
     pmf,
     report_to_csv,
     report_to_json,
@@ -30,7 +33,9 @@ from fairchase import (
     revision_report,
     survival,
 )
+from fairchase.revision import CELL_COLUMNS, cell_to_dict, cell_to_row
 
+GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "matches.csv"
 GRID = (300, 315, 330, 340, 350)
 
 WIN_DIST = FittedDist.negbin(8.0, 8.0 / 200.0)  # mean 192
@@ -125,6 +130,12 @@ class TestBuildModel:
 
 
 class TestReviseTarget:
+    def test_returns_an_ok_cell_of_the_model(self):
+        model = build_model(counted_dataset(88, 61), "Alpha", Family.LOGISTIC)
+        cell = revise_target(model, 330)
+        assert isinstance(cell, TargetCell)
+        assert (cell.venue, cell.family, cell.actual, cell.status) == ("Alpha", Family.LOGISTIC, 330, "ok")
+
     def test_identity_model_returns_the_target_negbin(self):
         model = identity_model(WIN_DIST)
         for actual in (250, 300, 330, 350):
@@ -319,6 +330,27 @@ class TestRevisionReport:
         second = revision_report(self.dataset(), target_grid=GRID)
         assert first == second
         assert report_to_csv(first) == report_to_csv(second)
+
+    def test_ok_cells_are_revise_target_cells(self):
+        """On the golden data every "ok" cell is the very cell revise_target returns."""
+        dataset = categorize(parse_matches(GOLDEN_DATA))
+        report = revision_report(dataset)
+        ok = [c for c in report.cells if c.status == "ok"]
+        assert 0 < len(ok) < len(report.cells)  # skipped and unattainable cells too
+        models = {}
+        for cell in ok:
+            key = (cell.venue, cell.family)
+            if key not in models:
+                models[key] = build_model(dataset, cell.venue, cell.family)
+            assert cell == revise_target(models[key], cell.actual)
+
+    def test_cell_helpers_share_the_columns(self):
+        ok = revise_target(build_model(self.dataset(), "Alpha"), 330)
+        skipped = TargetCell("Beta", Family.NORMAL, 300, None, None, "skipped: thin")
+        assert tuple(cell_to_dict(ok)) == CELL_COLUMNS
+        assert cell_to_dict(skipped)["revised_target"] is None
+        assert cell_to_row(ok) == ["Alpha", "negbin", 330, ok.revised, f"{ok.q_internal:.6f}", "ok"]
+        assert cell_to_row(skipped) == ["Beta", "normal", 300, "", "", "skipped: thin"]
 
     def test_csv_has_target_and_bias_sections(self):
         text = report_to_csv(revision_report(self.dataset(), target_grid=GRID))
