@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import SETTINGS, AppConfig, LOW_TARGET_WARNING_THRESHOLD, Setting, load_config_file
+from .config import SETTINGS, AppConfig, LOW_TARGET_WARNING_THRESHOLD, _int, load_config_file
 from .distributions import Family, FittedDist, fit, fitted_to_json, pmf, survival
 from .errors import (
     DegenerateQuantileWarning,
@@ -69,12 +69,12 @@ _EXIT_CODE_HELP = (
 )
 
 
-def _flag_type(setting: Setting) -> Callable[[str], object]:
-    """The setting's parser, with its FairchaseError turned into a usage error."""
+def _flag_type(parser: Callable[[str], object]) -> Callable[[str], object]:
+    """A value parser, with its FairchaseError turned into a usage error."""
 
     def parse(text: str) -> object:
         try:
-            return setting.parse(text)
+            return parser(text)
         except FairchaseError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         common.add_argument(
             "--" + setting.key.replace("_", "-"),
             dest=setting.key,
-            type=_flag_type(setting),
+            type=_flag_type(setting.parse),
             metavar=setting.metavar,
             help=setting.help,
         )
@@ -112,20 +112,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     revise = add("revise", _cmd_revise, "equalized chase target for one venue")
     revise.add_argument("--venue", required=True, help="venue to model")
-    revise.add_argument("--target", required=True, type=int, help="actual first-innings target")
+    target = _flag_type(_int("target", 0))
+    revise.add_argument("--target", required=True, type=target, help="actual first-innings target")
 
     add("report", _cmd_report, "revised targets and bias totals across venues and families")
 
     simulate = add("simulate", _cmd_simulate, "Monte Carlo check of the equalization identity (JSON)")
     simulate.add_argument("--venue", required=True, help="venue to model")
-    simulate.add_argument("--target", required=True, type=int, help="actual first-innings target")
-    simulate.add_argument("--trials", type=int, default=100_000, help="simulation trials (default 100000)")
+    simulate.add_argument("--target", required=True, type=target, help="actual first-innings target")
+    simulate.add_argument("--trials", type=_flag_type(_int("trials", 1)), default=100_000,
+                          help="simulation trials (default 100000)")
 
     generate = add("generate", _cmd_generate, "write a synthetic match CSV with known parameters")
-    generate.add_argument("--num-venues", type=int, default=2, help="synthetic venues (default 2)")
-    generate.add_argument(
-        "--matches", type=int, default=100, help="decisive matches per venue (default 100)"
-    )
+    generate.add_argument("--num-venues", type=_flag_type(_int("num_venues", 1)), default=2,
+                          help="synthetic venues (default 2)")
+    generate.add_argument("--matches", type=_flag_type(_int("matches", 2)), default=100,
+                          help="decisive matches per venue (default 100)")
 
     add("validate", _cmd_validate, "run the invariant suite against the dataset")
     return parser
@@ -133,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
     config = load_config_file(args.config) if args.config else AppConfig()
-    flags = {s.field: getattr(args, s.key) for s in SETTINGS if getattr(args, s.key) is not None}
+    flags = {s.key: getattr(args, s.key) for s in SETTINGS if getattr(args, s.key) is not None}
     return replace(config, **flags)
 
 
@@ -151,9 +153,9 @@ def _warn(message: str) -> None:
 
 
 def _load_dataset(config: AppConfig) -> tuple[list[MatchRecord], CategorizedScores]:
-    if not config.data_path:
+    if not config.data:
         raise FairchaseError("no input data; pass --data PATH or set data in the config file")
-    records = parse_matches(config.data_path)
+    records = parse_matches(config.data)
     return records, categorize(records)
 
 
@@ -164,7 +166,7 @@ def _slug(venue: str) -> str:
 def _cmd_summary(args: argparse.Namespace, config: AppConfig) -> int:
     _, dataset = _load_dataset(config)
     rows = summarize(dataset, config.venues)
-    text = summary_to_csv(rows) if config.output_format == "csv" else summary_to_json(rows)
+    text = summary_to_csv(rows) if config.format == "csv" else summary_to_json(rows)
     _emit(text, args.out)
     return 0
 
@@ -231,7 +233,7 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
     model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
     cell = revise_target(model, args.target)
     columns = CELL_COLUMNS[:-1]  # a revised target's status is always "ok"
-    if config.output_format == "csv":
+    if config.format == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows([columns, cell_to_row(cell)[:-1]])
         text = out.getvalue()
@@ -248,7 +250,7 @@ def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
     filtered = {name: dataset[name] for name in names}
     families = tuple(Family) if config.family is None else (config.family,)
     report = revision_report(filtered, families, config.target_grid, config.fit_config())
-    text = report_to_csv(report) if config.output_format == "csv" else report_to_json(report)
+    text = report_to_csv(report) if config.format == "csv" else report_to_json(report)
     _emit(text, args.out)
     return 0
 

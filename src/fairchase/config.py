@@ -26,7 +26,9 @@ LOW_TARGET_WARNING_THRESHOLD = 300
 
 @dataclass(frozen=True)
 class AppConfig:
-    data_path: str | None = None
+    """The resolved settings: one field per SETTINGS key, each checked by its parser."""
+
+    data: str | None = None
     venues: tuple[str, ...] | None = None
     #: None until a flag or the config file chooses one: report then covers
     #: all three families, and every other command fits fit_family.
@@ -34,22 +36,9 @@ class AppConfig:
     target_grid: tuple[int, ...] = DEFAULT_TARGET_GRID
     min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
     quantile_cap: int = DEFAULT_QUANTILE_CAP
-    output_format: str = "csv"
+    format: str = "csv"
     seed: int = DEFAULT_SEED
     curve_max_score: int = DEFAULT_CURVE_MAX_SCORE
-
-    def __post_init__(self):
-        parse_format(self.output_format)
-        if self.min_sample_size < 2:
-            raise FairchaseError("min_sample_size must be at least 2")
-        if self.quantile_cap < 1:
-            raise FairchaseError("quantile_cap must be positive")
-        if self.curve_max_score < 0:
-            raise FairchaseError("curve_max_score must be non-negative")
-        if not self.target_grid or any(t < 0 for t in self.target_grid):
-            raise FairchaseError("target_grid must be non-empty, with non-negative targets")
-        if self.seed < 0:
-            raise FairchaseError("seed must be non-negative")
 
     @property
     def fit_family(self) -> Family:
@@ -83,11 +72,19 @@ def parse_format(text: str) -> str:
     return text
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FairchaseError(f"{key} must be an integer, got {text!r}") from None
+def _int(key: str, minimum: int) -> Callable[[str], int]:
+    """The parser of an integer setting that is at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise FairchaseError(f"{key} must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise FairchaseError(f"{key} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_target_grid(text: str) -> tuple[int, ...]:
@@ -95,7 +92,7 @@ def parse_target_grid(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise FairchaseError("target_grid must list at least one target")
-    return tuple(sorted({_parse_int("target_grid", p) for p in parts}))
+    return tuple(sorted(set(map(_int("target_grid", 0), parts))))
 
 
 def parse_venue_list(text: str) -> tuple[str, ...]:
@@ -106,29 +103,29 @@ def parse_venue_list(text: str) -> tuple[str, ...]:
 
 
 class Setting(NamedTuple):
-    """One setting: its config-file key (the flag is --key-with-dashes), the
-    AppConfig field it sets, and the parser that both sources go through."""
+    """One setting: its config-file key, which is also its AppConfig field
+    (the flag is --key-with-dashes), and the parser that both sources go
+    through, which checks the value completely."""
 
     key: str
-    field: str
     parse: Callable[[str], object]
     metavar: str
     help: str
 
 
 SETTINGS = (
-    Setting("data", "data_path", str, "PATH", "match CSV file to load"),
-    Setting("venues", "venues", parse_venue_list, "A,B,C", "restrict to these venues (comma-separated)"),
-    Setting("family", "family", parse_family, "nb|normal|logistic", "distribution family to fit (default nb)"),
-    Setting("format", "output_format", parse_format, "csv|json", "output format (default csv)"),
-    Setting("seed", "seed", lambda t: _parse_int("seed", t), "N", f"root RNG seed (default {DEFAULT_SEED})"),
-    Setting("target_grid", "target_grid", parse_target_grid, "T1,T2,...",
+    Setting("data", str, "PATH", "match CSV file to load"),
+    Setting("venues", parse_venue_list, "A,B,C", "restrict to these venues (comma-separated)"),
+    Setting("family", parse_family, "nb|normal|logistic", "distribution family to fit (default nb)"),
+    Setting("format", parse_format, "csv|json", "output format (default csv)"),
+    Setting("seed", _int("seed", 0), "N", f"root RNG seed (default {DEFAULT_SEED})"),
+    Setting("target_grid", parse_target_grid, "T1,T2,...",
             f"targets for report tables (default {','.join(map(str, DEFAULT_TARGET_GRID))})"),
-    Setting("min_sample_size", "min_sample_size", lambda t: _parse_int("min_sample_size", t), "N",
+    Setting("min_sample_size", _int("min_sample_size", 2), "N",
             f"smallest fittable case sample (default {DEFAULT_MIN_SAMPLE_SIZE})"),
-    Setting("quantile_cap", "quantile_cap", lambda t: _parse_int("quantile_cap", t), "N",
+    Setting("quantile_cap", _int("quantile_cap", 1), "N",
             f"hard ceiling for discrete quantiles (default {DEFAULT_QUANTILE_CAP})"),
-    Setting("curve_max_score", "curve_max_score", lambda t: _parse_int("curve_max_score", t), "N",
+    Setting("curve_max_score", _int("curve_max_score", 0), "N",
             f"last score in survival curves (default {DEFAULT_CURVE_MAX_SCORE})"),
 )
 _SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
@@ -138,7 +135,7 @@ def load_config_file(path: str | os.PathLike) -> AppConfig:
     """Defaults overridden by the ``key = value`` settings in a config file.
 
     Blank lines and lines starting with ``#`` are ignored. Unknown keys and
-    unparseable values raise FairchaseError.
+    bad values raise FairchaseError naming their line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
@@ -156,7 +153,7 @@ def load_config_file(path: str | os.PathLike) -> AppConfig:
         if setting is None:
             raise FairchaseError(f"config line {lineno}: unknown key {key!r}")
         try:
-            overrides[setting.field] = setting.parse(value)
+            overrides[key] = setting.parse(value)
         except FairchaseError as exc:
             raise FairchaseError(f"config line {lineno}: {exc}") from None
 

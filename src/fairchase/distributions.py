@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateQuantileWarning,
+    FairchaseError,
     InsufficientSample,
     InvalidParams,
     UnderdispersedSample,
@@ -162,6 +163,10 @@ class FitConfig:
 
     min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
     quantile_cap: int = DEFAULT_QUANTILE_CAP
+
+    def __post_init__(self):
+        if self.min_sample_size < 2 or self.quantile_cap < 1:
+            raise FairchaseError(f"need min_sample_size >= 2 and quantile_cap >= 1, got {self}")
 
 
 DEFAULT_FIT_CONFIG = FitConfig()
@@ -395,10 +400,8 @@ def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
 
 def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:
     xs = np.asarray(scores, dtype=float)
-    if xs.size < max(2, config.min_sample_size):
-        raise InsufficientSample(
-            f"need at least {max(2, config.min_sample_size)} scores, got {xs.size}"
-        )
+    if xs.size < config.min_sample_size:
+        raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {xs.size}")
     if xs.size and xs.min() < 0:
         raise InvalidParams("scores must be non-negative")
     return xs
@@ -581,15 +584,18 @@ def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
         params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
         size, loglik = doc["sample_size"], doc["log_likelihood"]
         degenerate = doc.get("degenerate_flag", False)
+        venue, case = doc["venue"], doc["case"]
         if isinstance(size, bool) or not isinstance(size, int):
             raise TypeError(f"sample_size must be an integer, got {size!r}")
-        if isinstance(loglik, bool) or not isinstance(loglik, (int, float)):
-            raise TypeError(f"log_likelihood must be a number, got {loglik!r}")
+        for name, value in [("log_likelihood", loglik), *vars(params).items()]:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not isinstance(degenerate, bool):
             raise TypeError(f"degenerate_flag must be true or false, got {degenerate!r}")
-        dist = FittedDist(params, size, float(loglik), degenerate)
-        return str(doc["venue"]), str(doc["case"]), dist
-    except (KeyError, TypeError, ValueError) as exc:
+        if not (isinstance(venue, str) and isinstance(case, str)):
+            raise TypeError(f"venue and case must be strings, got {venue!r} and {case!r}")
+        return venue, case, FittedDist(params, size, float(loglik), degenerate)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParams(f"malformed fitted-distribution document: {exc}") from exc
 
 

@@ -510,6 +510,13 @@ class TestConfigFile:
         assert code == 2
         assert err == "error: config line 2: seed must be an integer, got 'abc'\n"
 
+    def test_out_of_range_value_names_its_line(self, cli, data_csv, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"data = {data_csv}\nseed = -1\n")
+        code, _, err = cli("summary", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: config line 2: seed must be at least 0, got -1\n"
+
     def test_grid_from_file(self, cli, data_csv, tmp_path):
         cfg = tmp_path / "app.cfg"
         cfg.write_text(f"data = {data_csv}\ntarget_grid = 320, 340\n")
@@ -527,17 +534,17 @@ class TestConfigFile:
         assert from_file.target_grid == from_flag.target_grid == (320, 340)
 
 
-#: config key -> (a value that changes the default, a value that must exit 2)
+#: config key -> (a value that changes the default, then values that must exit 2)
 _SETTING_SAMPLES = {
     "data": ("odi.csv", "no/such/file.csv"),
     "venues": ("venue02,venue01", ","),
     "family": ("logistic", "poisson"),
     "format": ("json", "xml"),
-    "seed": ("7", "seven"),
-    "target_grid": ("320,340", "300,abc"),
+    "seed": ("7", "seven", "-1"),
+    "target_grid": ("320,340", "300,abc", "300,-5"),
     "min_sample_size": ("12", "1"),
     "quantile_cap": ("1500", "0"),
-    "curve_max_score": ("400", "1.5"),
+    "curve_max_score": ("400", "1.5", "-1"),
 }
 
 
@@ -554,7 +561,7 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.key)
     def test_flag_and_config_key_agree(self, setting, data_csv, tmp_path, capsys):
-        good, bad = _SETTING_SAMPLES[setting.key]
+        good, *bad_values = _SETTING_SAMPLES[setting.key]
         flag = "--" + setting.key.replace("_", "-")
         cfg = tmp_path / "app.cfg"
 
@@ -563,9 +570,10 @@ class TestSettingsTable:
         from_flag = _resolve_config(_build_parser().parse_args(["summary", flag, good]))
         assert from_file == from_flag != AppConfig()
 
-        cfg.write_text(f"data = {data_csv}\n{setting.key} = {bad}\n")
-        assert _exit_code(["summary", "--config", str(cfg)]) == 2
-        assert _exit_code(["summary", "--data", data_csv, flag, bad]) == 2
+        for bad in bad_values:
+            cfg.write_text(f"data = {data_csv}\n{setting.key} = {bad}\n")
+            assert _exit_code(["summary", "--config", str(cfg)]) == 2, bad
+            assert _exit_code(["summary", "--data", data_csv, flag, bad]) == 2, bad
         capsys.readouterr()
 
 
@@ -579,6 +587,27 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc_info:
             main(["summary", "--family", "poisson"])
         assert exc_info.value.code == 2
+
+    def test_out_of_range_setting_is_a_usage_error(self, capsys):
+        assert _exit_code(["summary", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("fairchase summary: error: argument --seed: seed must be at least 0, got -1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["revise", "--venue", "venue01", "--target", "-5"],
+            ["simulate", "--venue", "venue01", "--target", "330", "--trials", "0"],
+            ["generate", "--num-venues", "0"],
+            ["generate", "--matches", "1"],
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    def test_out_of_range_command_integer_is_a_usage_error(self, argv, data_csv, capsys):
+        assert _exit_code([*argv, "--data", data_csv]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: " in err
+        assert "below 300" not in err
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import fairchase.distributions as distributions
 from fairchase import (
     DegenerateQuantileWarning,
+    FairchaseError,
     Family,
     FitConfig,
     FittedDist,
@@ -103,6 +104,15 @@ class TestParams:
     def test_params_of_no_family_raise(self):
         with pytest.raises(InvalidParams):
             FittedDist(params=(1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"min_sample_size": 1}, {"min_sample_size": 0}, {"quantile_cap": 0}, {"quantile_cap": -5}]
+    )
+    def test_fit_config_rejects_out_of_range(self, kwargs):
+        # a configuration error (exit 2), not a model error like InvalidParams (exit 3)
+        with pytest.raises(FairchaseError) as info:
+            FitConfig(**kwargs)
+        assert not isinstance(info.value, InvalidParams)
 
 
 class TestPmf:
@@ -707,11 +717,22 @@ class TestSerialization:
             ("log_likelihood", True),
             ("log_likelihood", "-3.5"),
             ("log_likelihood", None),
+            ("params", {"n": True, "p": 0.04}),
+            ("params", {"n": 10**400, "p": 0.04}),
+            ("venue", None),
+            ("case", 7),
         ],
     )
     def test_field_types_checked_not_coerced(self, key, value):
         doc = fitted_to_dict(FittedDist.negbin(8.0, 0.04), "Sydney", "BatFirstWin")
         doc[key] = value
+        with pytest.raises(InvalidParams, match="malformed fitted-distribution document"):
+            fitted_from_dict(doc)
+
+    @pytest.mark.parametrize("dist", [FittedDist.normal(250.0, 40.0), FittedDist.logistic(250.0, 20.0)])
+    def test_continuous_params_checked_not_coerced(self, dist):
+        doc = fitted_to_dict(dist, "Sydney", "BatFirstWin")
+        doc["params"] = dict.fromkeys(doc["params"], True)
         with pytest.raises(InvalidParams, match="malformed fitted-distribution document"):
             fitted_from_dict(doc)
 
