@@ -77,6 +77,27 @@ class TestSampling:
             NB_MODEL, 10, np.random.SeedSequence(99)
         )
 
+    #: sha256 of repr(sample_scores(dist, 10_000, seed)), recorded at version
+    #: 0.9.0, before each family's draw moved onto its params class
+    PINNED = {
+        ("negbin", 0): "e908df04a3abe3cea8eef412e4a6c1d63c6123d6f1e2e89ecad27f3b8fcd209c",
+        ("negbin", 1): "9580640102d14e2f2d714eb470af818f755320373437822028e12912126b9f46",
+        ("normal", 0): "fcac49fe290319483e74303caad59b575d19ed203375be51f9350c637653d771",
+        ("normal", 1): "4f8a92b329a9719af819ede352761c771b6cbab3c9121e54440be7a1a98343b4",
+        ("logistic", 0): "f2f3da074b39238f843f395abcd955309ad686c033375000d12f2e54b548bb8a",
+        ("logistic", 1): "860ac8f6c5cd352f653cc2125a2e6768e84eb4fe34ddec8841c5ce6065155fc9",
+    }
+    PINNED_DISTS = {
+        "negbin": NB_MODEL,
+        "normal": FittedDist.normal(192.0, 45.0),
+        "logistic": FittedDist.logistic(192.0, 25.0),
+    }
+
+    @pytest.mark.parametrize("family,seed", sorted(PINNED))
+    def test_stream_pinned(self, family, seed):
+        draws = sample_scores(self.PINNED_DISTS[family], 10_000, seed)
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == self.PINNED[family, seed]
+
 
 def make_model(ratio: float = 1.0, second: FittedDist = NB_MODEL) -> RevisionModel:
     return RevisionModel(
