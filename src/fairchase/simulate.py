@@ -37,11 +37,21 @@ def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
     return scores.astype(np.int64)
 
 
+def _root_sequence(seed: Seed) -> np.random.SeedSequence:
+    """The SeedSequence every stream of one call spawns from; numpy would
+    reject a negative integer seed with its own ValueError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if seed < 0:
+        raise FairchaseError(f"seed must be non-negative, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
     """Deterministic i.i.d. sample of integer scores from a fitted model."""
     if count < 0:
         raise FairchaseError(f"count must be non-negative, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_root_sequence(seed))
     return [int(x) for x in _draw(rng, dist, count)]
 
 
@@ -83,10 +93,8 @@ def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, 
     """
     if n_trials < 1:
         raise FairchaseError(f"n_trials must be at least 1, got {n_trials}")
-    if seed < 0:
-        raise FairchaseError(f"seed must be non-negative, got {seed}")
+    first_seq, second_seq = _root_sequence(seed).spawn(2)
     revised = revise_target(model, actual_target).revised
-    first_seq, second_seq = np.random.SeedSequence(seed).spawn(2)
     first_draws = _draw(np.random.default_rng(first_seq), model.dist_bat_first_win, n_trials)
     second_draws = _draw(np.random.default_rng(second_seq), model.dist_bat_second_win, n_trials)
     est_first, se_first = _estimate(first_draws, actual_target, n_trials)
@@ -175,8 +183,7 @@ def generate_synthetic_dataset(
     below its winner. Raises only when a winner law has no mass above zero
     or a loser law none below a drawn winner.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(len(specs))
+    streams = _root_sequence(seed).spawn(len(specs))
     records: list[MatchRecord] = []
     for spec, stream in zip(specs, streams):
         rng = np.random.default_rng(stream)

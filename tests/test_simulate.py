@@ -50,6 +50,10 @@ class TestSampling:
         with pytest.raises(FairchaseError):
             sample_scores(NB_MODEL, -1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(FairchaseError, match="seed must be non-negative, got -1"):
+            sample_scores(NB_MODEL, 5, seed=-1)
+
     def test_nb_sample_mean_near_analytic(self):
         draws = sample_scores(NB_MODEL, 100_000, seed=11)
         assert np.mean(draws) == pytest.approx(192.0, rel=0.02)
@@ -197,6 +201,10 @@ class TestSyntheticData:
         # proves every emitted row is well-formed
         reparsed = parse_matches(io.StringIO(serialize_matches(synthetic_records)))
         assert reparsed == synthetic_records
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(FairchaseError, match="seed must be non-negative, got -1"):
+            generate_synthetic_dataset(default_synthetic_spec(), -1)
 
     def test_deterministic(self):
         specs = [spec_for("Alpha", 20, 20), spec_for("Beta", 15, 25)]
