@@ -9,6 +9,8 @@ distribution (replaced whole, never mutated, so fitted distributions are
 immutable values safe to share across threads). pmf, cdf and survival take
 one integer score or an integer numpy array of them and evaluate both the
 same way: one score gives a float, an array a float array of its shape.
+Each params class holds its family's formulas: the mean, seeded draws and,
+for the continuous families, the CDF at one score and its inverse.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class NegBinParams:
     def mean(self) -> float:
         return self.n * (1.0 - self.p) / self.p
 
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.poisson(rng.gamma(shape=self.n, scale=(1.0 - self.p) / self.p, size=count)).astype(np.int64)
+
 
 @dataclass(frozen=True)
 class NormalParams:
@@ -86,6 +91,21 @@ class NormalParams:
         if not math.isfinite(self.mu):
             raise InvalidParams(f"mu must be finite, got {self.mu}")
 
+    @property
+    def mean(self) -> float:
+        return self.mu
+
+    def _cdf(self, x: int) -> float:
+        return 0.5 * math.erfc(-(x - self.mu) / self.sigma / _SQRT2)
+
+    def _inverse(self, q: float) -> int:
+        """Ceiling of the inverse CDF at 0 < q < 1 (not floored at 0)."""
+        return math.ceil(self.mu + self.sigma * _STANDARD_NORMAL.inv_cdf(q))
+
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """A draw X scores ceil(X) floored at 0: ceil(X) > t exactly when X > t, as survival() counts."""
+        return np.maximum(np.ceil(rng.normal(self.mu, self.sigma, size=count)), 0.0).astype(np.int64)
+
 
 @dataclass(frozen=True)
 class LogisticParams:
@@ -98,6 +118,24 @@ class LogisticParams:
             raise InvalidParams(f"scale s must be finite and positive, got {self.s}")
         if not math.isfinite(self.mu):
             raise InvalidParams(f"mu must be finite, got {self.mu}")
+
+    @property
+    def mean(self) -> float:
+        return self.mu
+
+    def _cdf(self, x: int) -> float:
+        z = (x - self.mu) / self.s
+        # written to avoid overflow for large |z|
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+
+    def _inverse(self, q: float) -> int:
+        return math.ceil(self.mu + self.s * (math.log(q) - math.log1p(-q)))
+
+    def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return np.maximum(np.ceil(rng.logistic(self.mu, self.s, size=count)), 0.0).astype(np.int64)
 
 
 Params = Union[NegBinParams, NormalParams, LogisticParams]
@@ -151,9 +189,7 @@ class FittedDist:
 
     @property
     def mean(self) -> float:
-        if isinstance(self.params, NegBinParams):
-            return self.params.mean
-        return self.params.mu
+        return self.params.mean
 
 
 @dataclass(frozen=True)
@@ -235,19 +271,6 @@ def _nb_arrays(
     return arrays
 
 
-def _normal_cdf(p: NormalParams, x: int) -> float:
-    return 0.5 * math.erfc(-(x - p.mu) / p.sigma / _SQRT2)
-
-
-def _logistic_cdf(p: LogisticParams, x: int) -> float:
-    z = (x - p.mu) / p.s
-    # written to avoid overflow for large |z|
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 #: Largest int64. A score past it either way (a Python int, an unsigned score
 #: or int64's minimum) is clamped to +-_SCORE_LIMIT, where every family already
 #: reads its far-tail value and x - 1 cannot wrap.
@@ -286,8 +309,8 @@ def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
         _, table = _nb_arrays(dist, int(x.max(initial=0)), _nb_settled)
         # take clips a negative score to index 0; the mask zeroes it
         return _result(table.take(x, mode="clip") * (x >= 0))
-    family_cdf = _normal_cdf if isinstance(p, NormalParams) else _logistic_cdf
-    values = [0.0 if v < 0 else family_cdf(p, v) for v in x.ravel().tolist()]
+    family_cdf = p._cdf
+    values = [0.0 if v < 0 else family_cdf(v) for v in x.ravel().tolist()]
     return _result(np.array(values, dtype=float).reshape(x.shape))
 
 
@@ -322,13 +345,6 @@ def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
         return table[-1] >= q or _nb_settled(params, terms, table)
 
     return _nb_arrays(dist, cap, done)[1]
-
-
-def _continuous_inverse(p: NormalParams | LogisticParams, q: float) -> int:
-    """Ceiling of the analytic inverse CDF at 0 < q < 1 (not floored at 0)."""
-    if isinstance(p, NormalParams):
-        return math.ceil(p.mu + p.sigma * _STANDARD_NORMAL.inv_cdf(q))
-    return math.ceil(p.mu + p.s * (math.log(q) - math.log1p(-q)))
 
 
 def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP) -> int | np.ndarray:
@@ -367,7 +383,7 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
         if x == table.size:  # the table settled below q, or ran past the cap
             x = cap + 1
     else:
-        x = _continuous_inverse(p, q)
+        x = p._inverse(q)
     if x > cap:
         warnings.warn(
             f"quantile({q}) exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=2
@@ -387,7 +403,7 @@ def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
         found = np.searchsorted(table, q[inner])
         over[inner] = (found == table.size) | (found > cap)
     else:
-        found = [_continuous_inverse(dist.params, v) for v in q[inner].tolist()]
+        found = list(map(dist.params._inverse, q[inner].tolist()))
         over[inner] = [v > cap for v in found]
         found = [min(max(v, 0), cap) for v in found]
     x[inner] = found

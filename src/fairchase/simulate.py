@@ -15,26 +15,12 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .distributions import _SCORE_LIMIT, FittedDist, NegBinParams, NormalParams, cdf, quantile
+from .distributions import _SCORE_LIMIT, FittedDist, cdf, quantile
 from .errors import FairchaseError, InconsistentSpec
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
 
 Seed = Union[int, "np.random.SeedSequence"]  # a string, so importing this module leaves numpy.random unloaded
-
-
-def _draw(rng: np.random.Generator, dist: FittedDist, count: int) -> np.ndarray:
-    """count i.i.d. non-negative integer scores from a fitted model.
-    A continuous draw X gives ceil(X) floored at 0: ceil(X) > t exactly when X > t,
-    so the draws exceed a target with the probability survival() reports."""
-    params = dist.params
-    if isinstance(params, NegBinParams):
-        scores = rng.poisson(rng.gamma(shape=params.n, scale=(1.0 - params.p) / params.p, size=count))
-    elif isinstance(params, NormalParams):
-        scores = np.maximum(np.ceil(rng.normal(params.mu, params.sigma, size=count)), 0.0)
-    else:
-        scores = np.maximum(np.ceil(rng.logistic(params.mu, params.s, size=count)), 0.0)
-    return scores.astype(np.int64)
 
 
 def _root_sequence(seed: Seed) -> np.random.SeedSequence:
@@ -52,7 +38,7 @@ def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
     if count < 0:
         raise FairchaseError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(_root_sequence(seed))
-    return [int(x) for x in _draw(rng, dist, count)]
+    return [int(x) for x in dist.params._draw(rng, count)]
 
 
 @dataclass(frozen=True)
@@ -95,8 +81,8 @@ def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, 
         raise FairchaseError(f"n_trials must be at least 1, got {n_trials}")
     first_seq, second_seq = _root_sequence(seed).spawn(2)
     revised = revise_target(model, actual_target).revised
-    first_draws = _draw(np.random.default_rng(first_seq), model.dist_bat_first_win, n_trials)
-    second_draws = _draw(np.random.default_rng(second_seq), model.dist_bat_second_win, n_trials)
+    first_draws = model.dist_bat_first_win.params._draw(np.random.default_rng(first_seq), n_trials)
+    second_draws = model.dist_bat_second_win.params._draw(np.random.default_rng(second_seq), n_trials)
     est_first, se_first = _estimate(first_draws, actual_target, n_trials)
     est_second, se_second = _estimate(second_draws, revised, n_trials)
     return SimResult(

@@ -101,6 +101,18 @@ class TestParams:
     def test_negbin_mean(self):
         assert NegBinParams(8.0, 0.04).mean == pytest.approx(192.0)
 
+    @pytest.mark.parametrize(
+        "dist,expected",
+        [
+            (FittedDist.negbin(8.0, 0.04), 8.0 * (1.0 - 0.04) / 0.04),
+            (FittedDist.normal(192.0, 45.0), 192.0),
+            (FittedDist.logistic(187.5, 25.0), 187.5),
+        ],
+        ids=["negbin", "normal", "logistic"],
+    )
+    def test_fitted_mean_is_the_params_mean(self, dist, expected):
+        assert dist.mean == dist.params.mean == expected
+
     def test_params_of_no_family_raise(self):
         with pytest.raises(InvalidParams):
             FittedDist(params=(1.0, 0.5))
@@ -498,12 +510,15 @@ class TestArrayEvaluation:
             two_calls = cdf(dist, scores) - cdf(dist, scores - 1)
             assert np.asarray(pmf(dist, scores)).tobytes() == np.asarray(two_calls).tobytes()
 
-    @pytest.mark.parametrize("family_cdf", ["_normal_cdf", "_logistic_cdf"])
-    def test_continuous_pmf_evaluates_each_cdf_point_once(self, family_cdf, monkeypatch):
+    @pytest.mark.parametrize(
+        "dist",
+        [FittedDist.normal(200.0, 30.0), FittedDist.logistic(200.0, 18.0)],
+        ids=["_normal_cdf", "_logistic_cdf"],
+    )
+    def test_continuous_pmf_evaluates_each_cdf_point_once(self, dist, monkeypatch):
         calls = []
-        real = getattr(distributions, family_cdf)
-        monkeypatch.setattr(distributions, family_cdf, lambda p, x: calls.append(x) or real(p, x))
-        dist = FittedDist.normal(200.0, 30.0) if family_cdf == "_normal_cdf" else FittedDist.logistic(200.0, 18.0)
+        real = type(dist.params)._cdf
+        monkeypatch.setattr(type(dist.params), "_cdf", lambda p, x: calls.append(x) or real(p, x))
         pmf(dist, np.arange(1, 101))
         assert sorted(calls) == list(range(0, 101))
 
