@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .distributions import DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
+from .distributions import _MAX_COUNT_SCORE, DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
 from .errors import FairchaseError
 from .revision import DEFAULT_TARGET_GRID
 
@@ -72,8 +72,8 @@ def parse_format(text: str) -> str:
     return text
 
 
-def _int(key: str, minimum: int) -> Callable[[str], int]:
-    """The parser of an integer setting that is at least minimum."""
+def _int(key: str, minimum: int, maximum: float = float("inf")) -> Callable[[str], int]:
+    """The parser of an integer setting from minimum to maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -82,6 +82,8 @@ def _int(key: str, minimum: int) -> Callable[[str], int]:
             raise FairchaseError(f"{key} must be an integer, got {text!r}") from None
         if value < minimum:
             raise FairchaseError(f"{key} must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise FairchaseError(f"{key} must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -123,9 +125,9 @@ SETTINGS = (
             f"targets for report tables (default {','.join(map(str, DEFAULT_TARGET_GRID))})"),
     Setting("min_sample_size", _int("min_sample_size", 2), "N",
             f"smallest fittable case sample (default {DEFAULT_MIN_SAMPLE_SIZE})"),
-    Setting("quantile_cap", _int("quantile_cap", 1), "N",
+    Setting("quantile_cap", _int("quantile_cap", 1, _MAX_COUNT_SCORE), "N",
             f"hard ceiling for discrete quantiles (default {DEFAULT_QUANTILE_CAP})"),
-    Setting("curve_max_score", _int("curve_max_score", 0), "N",
+    Setting("curve_max_score", _int("curve_max_score", 0, _MAX_COUNT_SCORE), "N",
             f"last score in survival curves (default {DEFAULT_CURVE_MAX_SCORE})"),
 )
 _SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}

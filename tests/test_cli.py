@@ -543,8 +543,8 @@ _SETTING_SAMPLES = {
     "seed": ("7", "seven", "-1"),
     "target_grid": ("320,340", "300,abc", "300,-5"),
     "min_sample_size": ("12", "1"),
-    "quantile_cap": ("1500", "0"),
-    "curve_max_score": ("400", "1.5", "-1"),
+    "quantile_cap": ("1500", "0", "10000001"),
+    "curve_max_score": ("400", "1.5", "-1", "10000001"),
 }
 
 
@@ -592,6 +592,20 @@ class TestArgparseBehavior:
         assert _exit_code(["summary", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.endswith("fairchase summary: error: argument --seed: seed must be at least 0, got -1\n")
+
+    @pytest.mark.parametrize("key", ["quantile_cap", "curve_max_score"])
+    def test_setting_ceiling_is_the_largest_count_score(self, key, data_csv, tmp_path, capsys):
+        # the boundary is only parsed: a command run there allocates arrays of 1e7 scores
+        (setting,) = [s for s in SETTINGS if s.key == key]
+        assert setting.parse("10000000") == 10_000_000
+        flag = "--" + key.replace("_", "-")
+        message = f"{key} must be at most 10000000, got 10000001\n"
+        assert _exit_code(["summary", "--data", data_csv, flag, "10000001"]) == 2
+        assert capsys.readouterr().err.endswith(f"fairchase summary: error: argument {flag}: {message}")
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f"data = {data_csv}\n{key} = 10000001\n")
+        assert _exit_code(["summary", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config line 2: {message}"
 
     @pytest.mark.parametrize(
         "argv",
