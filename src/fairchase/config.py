@@ -122,13 +122,13 @@ SETTINGS = (
     Setting("format", parse_format, "csv|json", "output format (default csv)"),
     Setting("seed", _int("seed", 0), "N", f"root RNG seed (default {DEFAULT_SEED})"),
     Setting("target_grid", parse_target_grid, "T1,T2,...",
-            f"targets for report tables (default {','.join(map(str, DEFAULT_TARGET_GRID))})"),
+            f"targets for report tables and validate (default {','.join(map(str, DEFAULT_TARGET_GRID))})"),
     Setting("min_sample_size", _int("min_sample_size", 2), "N",
             f"smallest fittable case sample (default {DEFAULT_MIN_SAMPLE_SIZE})"),
     Setting("quantile_cap", _int("quantile_cap", 1, _MAX_COUNT_SCORE), "N",
-            f"hard ceiling for discrete quantiles (default {DEFAULT_QUANTILE_CAP})"),
+            f"hard ceiling for discrete quantiles and validate's pmf sum (default {DEFAULT_QUANTILE_CAP})"),
     Setting("curve_max_score", _int("curve_max_score", 0, _MAX_COUNT_SCORE), "N",
-            f"last score in survival curves (default {DEFAULT_CURVE_MAX_SCORE})"),
+            f"last score in survival curves and validate's monotonicity check (default {DEFAULT_CURVE_MAX_SCORE})"),
 )
 _SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
 

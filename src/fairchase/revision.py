@@ -26,12 +26,16 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .distributions import (
+    _SCORE_LIMIT,
     DEFAULT_FIT_CONFIG,
     Family,
     FitConfig,
     FittedDist,
     fit,
+    pmf,
     quantile,
     survival,
 )
@@ -142,6 +146,31 @@ def revise_target(model: RevisionModel, actual: int) -> TargetCell:
         )
     revised = quantile(model.dist_bat_second_win, q, cap=model.quantile_cap)
     return TargetCell(model.venue, model.family, actual, revised, q, "ok")
+
+
+#: Scores per pmf evaluation in pmf_mass: blocks keep memory flat as the last
+#: score grows; fsum rounds exactly, so they cannot move the sum.
+_PMF_BLOCK = 1 << 16
+
+
+def pmf_mass(dist: FittedDist, last: int) -> float:
+    """Exactly rounded sum of the pmf over scores 0..last."""
+    end = last + 1
+    blocks = (pmf(dist, np.arange(lo, min(lo + _PMF_BLOCK, end))) for lo in range(0, end, _PMF_BLOCK))
+    return math.fsum(v for block in blocks for v in block.tolist())
+
+
+def survival_rise(dist: FittedDist, last: int) -> float:
+    """Largest rise S(x + 1) - S(x) over scores 0..last, with S = 1 - F; 0.0 if the curve never rises."""
+    return float(np.diff(survival(dist, np.arange(last + 1))).max(initial=0.0))
+
+
+def equalization_slack(model: RevisionModel, cells: Sequence[TargetCell]) -> float:
+    """Largest |S2(revised) - C*S1(actual)| - pmf2(revised) over ok cells, with S = 1 - F; -inf for none."""
+    actual = np.array([min(c.actual, _SCORE_LIMIT) for c in cells], dtype=np.int64)
+    revised = np.array([c.revised for c in cells], dtype=np.int64)
+    second, chase = model.dist_bat_second_win, model.win_ratio * survival(model.dist_bat_first_win, actual)
+    return float((np.abs(survival(second, revised) - chase) - pmf(second, revised)).max(initial=-math.inf))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import time
 
@@ -50,6 +49,7 @@ from fairchase import (
     survival,
 )
 from fairchase.matches import OVERALL_VENUE, resolve_venue
+from fairchase.revision import equalization_slack, pmf_mass, survival_rise
 
 DATA_ENV = "FAIRCHASE_ODI_DATA"
 GRID = (300, 315, 330, 340, 350)
@@ -210,16 +210,9 @@ def _synthetic_models(family: Family = Family.NEGBIN) -> list[RevisionModel]:
 def test_criterion_4_equalization_identity():
     checked = 0
     for model in _synthetic_models():
-        for actual in range(300, 351):
-            result = revise_target(model, actual)
-            gap = abs(
-                survival(model.dist_bat_second_win, result.revised)
-                - model.win_ratio * survival(model.dist_bat_first_win, actual)
-            )
-            assert gap <= pmf(model.dist_bat_second_win, result.revised) + 1e-15, (
-                f"{model.venue}@{actual}"
-            )
-            checked += 1
+        cells = [revise_target(model, actual) for actual in range(300, 351)]
+        assert equalization_slack(model, cells) <= 1e-15, model.venue
+        checked += len(cells)
     assert checked == 4 * 51
 
 
@@ -265,12 +258,9 @@ def test_criterion_7_normalization_and_monotonicity():
                     continue
     assert len(fitted_models) >= 24
     for dist in fitted_models:
-        x_max = quantile(dist, 1.0 - 1e-10, cap=1_000_000)
-        total = math.fsum(pmf(dist, x) for x in range(x_max + 1))
-        assert total >= 1.0 - 1e-9, f"{dist.family.value}: mass {total}"
-        assert total <= 1.0 + 1e-9, f"{dist.family.value}: mass {total}"
-        values = [survival(dist, x) for x in range(601)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), dist.family.value
+        total = pmf_mass(dist, quantile(dist, 1.0 - 1e-10, cap=1_000_000))
+        assert abs(total - 1.0) <= 1e-9, f"{dist.family.value}: mass {total}"
+        assert survival_rise(dist, 600) <= 1e-12, dist.family.value
 
 
 @criterion(8, "Monte Carlo agrees with analytic survivals at 1e6 trials, every family; reruns bit-identical")
@@ -320,17 +310,11 @@ def test_criterion_9_end_to_end_round_trip():
     for dist in (model.dist_bat_first_win, model.dist_bat_second_win):
         assert abs(dist.params.mean - 192.0) / 192.0 <= 0.02
 
-    for actual in GRID:
-        result = revise_target(model, actual)
-        assert 0 <= result.revised <= actual + 50
-        gap = abs(
-            survival(model.dist_bat_second_win, result.revised)
-            - model.win_ratio * survival(model.dist_bat_first_win, actual)
-        )
-        assert gap <= pmf(model.dist_bat_second_win, result.revised) + 1e-15
-
-    revised = [revise_target(model, a).revised for a in GRID]
-    assert all(a <= b for a, b in zip(revised, revised[1:]))
+    cells = [revise_target(model, actual) for actual in GRID]
+    assert all(0 <= c.revised <= c.actual + 50 for c in cells)
+    assert equalization_slack(model, cells) <= 1e-15
+    revised = [c.revised for c in cells]
+    assert revised == sorted(revised)
 
     rows = summarize(dataset, venues=["venue01"])
     assert rows[0].total_matches == 2000

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -33,13 +35,23 @@ from fairchase import (
     revision_report,
     survival,
 )
-from fairchase.revision import CELL_COLUMNS, cell_to_dict, cell_to_row
+from fairchase.revision import (
+    CELL_COLUMNS, cell_to_dict, cell_to_row, equalization_slack, pmf_mass, survival_rise,
+)
 
 GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "matches.csv"
 GRID = (300, 315, 330, 340, 350)
 
 WIN_DIST = FittedDist.negbin(8.0, 8.0 / 200.0)  # mean 192
 LOSE_DIST = FittedDist.negbin(8.0, 8.0 / 158.0)  # mean 150
+
+#: Per family: the range of the one drawn value that scales a property
+#: model's laws (the count model's n, a continuous scale), and the law it scales.
+PROPERTY_LAWS = {
+    Family.NEGBIN: ((2.0, 20.0), lambda mean, n: FittedDist.negbin(n, n / (n + mean))),
+    Family.NORMAL: ((10.0, 80.0), FittedDist.normal),
+    Family.LOGISTIC: ((10.0, 80.0), FittedDist.logistic),
+}
 
 
 def counted_dataset(
@@ -151,15 +163,8 @@ class TestReviseTarget:
             assert revise_target(model, actual).revised in (actual, actual + 1)
 
     def test_equalization_identity_exact_bound(self):
-        dataset = counted_dataset(88, 61)
-        model = build_model(dataset, "Alpha")
-        for actual in GRID:
-            result = revise_target(model, actual)
-            gap = abs(
-                survival(model.dist_bat_second_win, result.revised)
-                - model.win_ratio * survival(model.dist_bat_first_win, actual)
-            )
-            assert gap <= pmf(model.dist_bat_second_win, result.revised) + 1e-12
+        model = build_model(counted_dataset(88, 61), "Alpha")
+        assert equalization_slack(model, [revise_target(model, actual) for actual in GRID]) <= 1e-12
 
     def test_q_internal_in_unit_interval(self):
         model = build_model(counted_dataset(88, 61), "Alpha")
@@ -203,58 +208,31 @@ class TestReviseTarget:
         with pytest.raises(FairchaseError):
             revise_target(identity_model(WIN_DIST), -1)
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        ratio=st.floats(min_value=0.5, max_value=2.0),
-        n=st.floats(min_value=2.0, max_value=20.0),
-        mean_first=st.floats(min_value=150.0, max_value=280.0),
-        mean_second=st.floats(min_value=150.0, max_value=280.0),
-        actual_pair=st.tuples(
-            st.integers(min_value=200, max_value=400),
-            st.integers(min_value=200, max_value=400),
-        ),
-    )
-    def test_monotonicity_property(self, ratio, n, mean_first, mean_second, actual_pair):
-        model = RevisionModel(
-            venue="prop",
-            win_ratio=ratio,
-            dist_bat_first_win=FittedDist.negbin(n, n / (n + mean_first)),
-            dist_bat_second_win=FittedDist.negbin(n, n / (n + mean_second)),
-            quantile_cap=100_000,
-        )
-        low, high = sorted(actual_pair)
-        try:
-            first = revise_target(model, low).revised
-            second = revise_target(model, high).revised
-        except TargetUnattainable:
-            return
-        assert first <= second
+    def test_invariant_measures_at_their_edges(self):
+        assert equalization_slack(identity_model(WIN_DIST), []) == -math.inf
+        assert survival_rise(WIN_DIST, 0) == 0.0
+        assert pmf_mass(WIN_DIST, 0) == pmf(WIN_DIST, 0)
 
+    @pytest.mark.parametrize("family", list(Family))
     @settings(max_examples=30, deadline=None)
     @given(
+        data=st.data(),
         ratio=st.floats(min_value=0.5, max_value=2.0),
-        n=st.floats(min_value=2.0, max_value=20.0),
         mean_first=st.floats(min_value=150.0, max_value=280.0),
         mean_second=st.floats(min_value=150.0, max_value=280.0),
-        actual=st.integers(min_value=150, max_value=450),
+        actuals=st.tuples(st.integers(min_value=150, max_value=450), st.integers(min_value=150, max_value=450)),
     )
-    def test_equalization_property(self, ratio, n, mean_first, mean_second, actual):
-        model = RevisionModel(
-            venue="prop",
-            win_ratio=ratio,
-            dist_bat_first_win=FittedDist.negbin(n, n / (n + mean_first)),
-            dist_bat_second_win=FittedDist.negbin(n, n / (n + mean_second)),
-            quantile_cap=100_000,
-        )
-        try:
-            result = revise_target(model, actual)
-        except TargetUnattainable:
-            return
-        gap = abs(
-            survival(model.dist_bat_second_win, result.revised)
-            - model.win_ratio * survival(model.dist_bat_first_win, actual)
-        )
-        assert gap <= pmf(model.dist_bat_second_win, result.revised) + 1e-12
+    def test_equalization_and_monotonicity_property(self, family, data, ratio, mean_first, mean_second, actuals):
+        (low, high), law = PROPERTY_LAWS[family]
+        scale = data.draw(st.floats(min_value=low, max_value=high), label="scale")
+        model = RevisionModel("prop", ratio, law(mean_first, scale), law(mean_second, scale), quantile_cap=100_000)
+        cells = []
+        for actual in sorted(actuals):
+            with contextlib.suppress(TargetUnattainable):
+                cells.append(revise_target(model, actual))
+        assert equalization_slack(model, cells) <= 1e-12
+        revised = [c.revised for c in cells]
+        assert revised == sorted(revised)
 
 
 class TestBiasTotal:
