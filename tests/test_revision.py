@@ -54,6 +54,23 @@ PROPERTY_LAWS = {
 }
 
 
+#: Hypothesis strategies for a random property model of any family.
+PROPERTY_MODELS = dict(
+    family=st.sampled_from(list(Family)),
+    data=st.data(),
+    ratio=st.floats(min_value=0.5, max_value=2.0),
+    mean_first=st.floats(min_value=150.0, max_value=280.0),
+    mean_second=st.floats(min_value=150.0, max_value=280.0),
+)
+
+
+def property_model(family: Family, data, ratio: float, mean_first: float, mean_second: float) -> RevisionModel:
+    """A model of ``family`` whose two laws share one scale drawn from PROPERTY_LAWS."""
+    (low, high), law = PROPERTY_LAWS[family]
+    scale = data.draw(st.floats(min_value=low, max_value=high), label="scale")
+    return RevisionModel("prop", ratio, law(mean_first, scale), law(mean_second, scale), quantile_cap=100_000)
+
+
 def counted_dataset(
     n_first_wins: int, n_second_wins: int, venue: str = "Alpha", second_win_dist: FittedDist = WIN_DIST
 ):
@@ -213,25 +230,27 @@ class TestReviseTarget:
         assert survival_rise(WIN_DIST, 0) == 0.0
         assert pmf_mass(WIN_DIST, 0) == pmf(WIN_DIST, 0)
 
-    @pytest.mark.parametrize("family", list(Family))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=90, deadline=None)
+    @given(**PROPERTY_MODELS, actual=st.integers(min_value=150, max_value=450))
+    def test_equalization_property(self, family, data, ratio, mean_first, mean_second, actual):
+        model = property_model(family, data, ratio, mean_first, mean_second)
+        try:
+            cell = revise_target(model, actual)
+        except TargetUnattainable:
+            return
+        assert equalization_slack(model, [cell]) <= 1e-12
+
+    @settings(max_examples=90, deadline=None)
     @given(
-        data=st.data(),
-        ratio=st.floats(min_value=0.5, max_value=2.0),
-        mean_first=st.floats(min_value=150.0, max_value=280.0),
-        mean_second=st.floats(min_value=150.0, max_value=280.0),
+        **PROPERTY_MODELS,
         actuals=st.tuples(st.integers(min_value=150, max_value=450), st.integers(min_value=150, max_value=450)),
     )
-    def test_equalization_and_monotonicity_property(self, family, data, ratio, mean_first, mean_second, actuals):
-        (low, high), law = PROPERTY_LAWS[family]
-        scale = data.draw(st.floats(min_value=low, max_value=high), label="scale")
-        model = RevisionModel("prop", ratio, law(mean_first, scale), law(mean_second, scale), quantile_cap=100_000)
-        cells = []
+    def test_monotonicity_property(self, family, data, ratio, mean_first, mean_second, actuals):
+        model = property_model(family, data, ratio, mean_first, mean_second)
+        revised = []
         for actual in sorted(actuals):
             with contextlib.suppress(TargetUnattainable):
-                cells.append(revise_target(model, actual))
-        assert equalization_slack(model, cells) <= 1e-12
-        revised = [c.revised for c in cells]
+                revised.append(revise_target(model, actual).revised)
         assert revised == sorted(revised)
 
 
