@@ -41,6 +41,22 @@ def parse_text(body: str) -> list[MatchRecord]:
     return parse_matches(io.StringIO(HEADER_LINE + "\n" + body))
 
 
+#: Each malformed row and the exact message parse_matches gives for it.
+MALFORMED_ROWS = {
+    "m1,Sydney,,248,200,BatFirstWin": "row 2: expected 7 fields, got 6",
+    "m1,Sydney,,24x,200,BatFirstWin,false": "row 2: first_innings_runs must be a non-negative integer, got '24x'",
+    "m1,Sydney,,-3,200,BatFirstWin,false": "row 2: first_innings_runs must be a non-negative integer, got '-3'",
+    "m1,Sydney,,248,200,HomeWin,false": (
+        "row 2: outcome must be one of ['BatFirstWin', 'BatSecondWin', 'Tie', 'NoResult'], got 'HomeWin'"
+    ),
+    "m1,Sydney,,248,200,BatFirstWin,maybe": "row 2: reduced_overs must be true or false, got 'maybe'",
+    "m1,Sydney,01/02/2001,248,200,BatFirstWin,false": "row 2: date must be YYYY-MM-DD or empty, got '01/02/2001'",
+    ",Sydney,,248,200,BatFirstWin,false": "row 2: match_id must be non-empty",
+    "m1,,,248,200,BatFirstWin,false": "row 2: venue must be non-empty and trimmed, got ''",
+    "m1,overall,,248,200,BatFirstWin,false": "row 2: venue name 'overall' is reserved for the pooled entry",
+}
+
+
 class TestParse:
     def test_single_row_maps_fields(self):
         rows = parse_text("m1,Sydney,2001-01-01,248,200,BatFirstWin,false\n")
@@ -80,24 +96,47 @@ class TestParse:
         with pytest.raises(MalformedRow):
             parse_matches(io.StringIO(""))
 
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "m1,Sydney,,248,200,BatFirstWin",  # missing field
-            "m1,Sydney,,24x,200,BatFirstWin,false",  # non-integer runs
-            "m1,Sydney,,-3,200,BatFirstWin,false",  # negative runs
-            "m1,Sydney,,248,200,HomeWin,false",  # unknown outcome
-            "m1,Sydney,,248,200,BatFirstWin,maybe",  # bad boolean
-            "m1,Sydney,01/02/2001,248,200,BatFirstWin,false",  # bad date
-            ",Sydney,,248,200,BatFirstWin,false",  # empty id
-            "m1,,,248,200,BatFirstWin,false",  # empty venue
-            "m1,overall,,248,200,BatFirstWin,false",  # reserved venue
-        ],
-    )
+    @pytest.mark.parametrize("row", list(MALFORMED_ROWS))
     def test_malformed_rows_rejected(self, row):
         with pytest.raises(MalformedRow) as exc_info:
             parse_text(row + "\n")
         assert exc_info.value.row == 2
+        assert str(exc_info.value) == MALFORMED_ROWS[row]
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            pytest.param(
+                "m1,Sydney,01/02/2001,250,240,BatSecondWin,false",
+                MalformedRow,
+                "row 2: date must be YYYY-MM-DD or empty, got '01/02/2001'",
+                id="text-rule-before-outcome",
+            ),
+            pytest.param(
+                ",Sydney,,24x,200,BatFirstWin,false",
+                MalformedRow,
+                "row 2: first_innings_runs must be a non-negative integer, got '24x'",
+                id="text-rule-before-empty-id",
+            ),
+            pytest.param(
+                "m1,Sydney,,248,200,BatFirstWin,false\nm1,Perth,,250,240,BatSecondWin,false",
+                InconsistentOutcome,
+                "row 3: outcome BatSecondWin requires second innings (240) above first (250)",
+                id="row-rule-before-duplicate-id",
+            ),
+            pytest.param(
+                ",,,250,240,BatSecondWin,false",
+                MalformedRow,
+                "row 2: match_id must be non-empty",
+                id="empty-id-before-venue-and-outcome",
+            ),
+        ],
+    )
+    def test_first_broken_rule_is_reported(self, body, error, message):
+        with pytest.raises(error) as exc_info:
+            parse_text(body + "\n")
+        assert type(exc_info.value) is error
+        assert str(exc_info.value) == message
 
     @pytest.mark.parametrize(
         "runs",
