@@ -24,6 +24,7 @@ from .errors import (
     EmptyVenue,
     InconsistentOutcome,
     MalformedRow,
+    RowError,
     UnknownVenue,
 )
 
@@ -150,10 +151,12 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
         for fields in reader:
             if not fields:
                 continue
-            line = reader.line_num
-            record = _parse_row(fields, line)
-            if record.match_id in seen:
-                raise DuplicateMatchId(f"match_id {record.match_id!r} already seen", row=line)
+            try:
+                record = _parse_row(fields)
+                if record.match_id in seen:
+                    raise DuplicateMatchId(f"match_id {record.match_id!r} already seen")
+            except RowError as exc:
+                raise type(exc)(str(exc), row=reader.line_num) from None
             seen.add(record.match_id)
             records.append(record)
     except csv.Error as exc:
@@ -161,9 +164,10 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
     return records
 
 
-def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
+def _parse_row(fields: Sequence[str]) -> MatchRecord:
+    """One row's text as a record: text rules here, value rules in MatchRecord."""
     if len(fields) != len(CSV_HEADER):
-        raise MalformedRow(f"expected {len(CSV_HEADER)} fields, got {len(fields)}", row=line)
+        raise MalformedRow(f"expected {len(CSV_HEADER)} fields, got {len(fields)}")
     match_id, venue, date_text, first_text, second_text, outcome_text, reduced_text = fields
 
     date: dt.date | None = None
@@ -176,27 +180,20 @@ def _parse_row(fields: Sequence[str], line: int) -> MatchRecord:
                 raise ValueError
             date = dt.date.fromisoformat(date_text)
         except ValueError:
-            raise MalformedRow(f"date must be YYYY-MM-DD or empty, got {date_text!r}", row=line)
+            raise MalformedRow(f"date must be YYYY-MM-DD or empty, got {date_text!r}")
 
-    first = _parse_runs("first_innings_runs", first_text, line)
-    second = _parse_runs("second_innings_runs", second_text, line)
+    first = _parse_runs("first_innings_runs", first_text)
+    second = _parse_runs("second_innings_runs", second_text)
 
     outcome = _OUTCOMES.get(outcome_text)
     if outcome is None:
-        raise MalformedRow(
-            f"outcome must be one of {[o.value for o in Outcome]}, got {outcome_text!r}",
-            row=line,
-        )
+        raise MalformedRow(f"outcome must be one of {[o.value for o in Outcome]}, got {outcome_text!r}")
     if reduced_text not in ("true", "false"):
-        raise MalformedRow(f"reduced_overs must be true or false, got {reduced_text!r}", row=line)
-
-    try:
-        return MatchRecord(match_id, venue.strip(), date, first, second, outcome, reduced_text == "true")
-    except (MalformedRow, InconsistentOutcome) as exc:
-        raise type(exc)(str(exc), row=line) from None
+        raise MalformedRow(f"reduced_overs must be true or false, got {reduced_text!r}")
+    return MatchRecord(match_id, venue.strip(), date, first, second, outcome, reduced_text == "true")
 
 
-def _parse_runs(label: str, text: str, line: int) -> int:
+def _parse_runs(label: str, text: str) -> int:
     """Innings runs written as plain ASCII digits; int() alone also takes
     signs, spaces, underscores and other scripts' digits."""
     try:
@@ -204,7 +201,7 @@ def _parse_runs(label: str, text: str, line: int) -> int:
             return int(text)
     except ValueError:  # more digits than int() converts
         pass
-    raise MalformedRow(f"{label} must be a non-negative integer, got {text!r}", row=line)
+    raise MalformedRow(f"{label} must be a non-negative integer, got {text!r}")
 
 
 def serialize_matches(records: Iterable[MatchRecord]) -> str:
