@@ -79,6 +79,8 @@ class MatchRecord:
             raise MalformedRow(f"venue must be non-empty and trimmed, got {self.venue!r}")
         if self.venue.casefold() == OVERALL_VENUE:
             raise MalformedRow(f"venue name {OVERALL_VENUE!r} is reserved for the pooled entry")
+        if "\x00" in self.match_id or "\x00" in self.venue:
+            raise MalformedRow(f"match_id and venue must not contain NUL, got {self.match_id!r} and {self.venue!r}")
         if self.first_innings_runs < 0 or self.second_innings_runs < 0:
             raise MalformedRow("innings runs must be non-negative")
         first, second = self.first_innings_runs, self.second_innings_runs

@@ -205,6 +205,16 @@ class TestParse:
         rows = parse_text("m1,Sydney,,248,200,BatFirstWin,false\n")
         assert rows[0].date is None
 
+    @pytest.mark.parametrize("match_id, venue", [("m\x001", "Sydney"), ("m1", "Syd\x00ney")], ids=["match_id", "venue"])
+    def test_nul_rejected_on_every_python(self, match_id, venue):
+        """From 3.11 csv reads a NUL that 3.10 refuses and its writer cannot quote, so the record refuses it."""
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_text(f"{match_id},{venue},,248,200,BatFirstWin,false\n")
+        assert exc_info.value.row == 2
+        with pytest.raises(MalformedRow) as exc_info:
+            MatchRecord(match_id, venue, None, 248, 200, Outcome.BAT_FIRST_WIN, False)
+        assert str(exc_info.value) == f"match_id and venue must not contain NUL, got {match_id!r} and {venue!r}"
+
     def test_path_accepted(self, tmp_path):
         path = tmp_path / "matches.csv"
         path.write_text(HEADER_LINE + "\nm1,Sydney,,248,200,BatFirstWin,false\n")
