@@ -217,15 +217,6 @@ def _past_mode(params: NegBinParams, x: int) -> bool:
     return x > (params.n * (1.0 - params.p) - 1.0) / params.p
 
 
-def _nb_settled(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
-    """Whether every score past the table has the table's last value.
-
-    Past the mode each pmf term is smaller than the one before, so once a
-    term leaves the sum unchanged every later one does too.
-    """
-    return _past_mode(params, table.size - 2) and table[-1] == table[-2]
-
-
 def _nb_underflowed(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
     """Whether every pmf term past the array is 0.0: the last one has
     underflowed past the mode, where the terms only shrink."""
@@ -271,6 +262,17 @@ def _nb_arrays(
     return arrays
 
 
+def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
+    """The count model's cumulative-mass table, grown until it holds score
+    cap, reaches q, or settles: past the mode each pmf term is smaller than
+    the one before, so once a term leaves the sum unchanged every later
+    score has the table's last value."""
+    def done(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
+        return table[-1] >= q or (_past_mode(params, table.size - 2) and table[-1] == table[-2])
+
+    return _nb_arrays(dist, cap, done)[1]
+
+
 #: Largest int64. A score past it either way (a Python int, an unsigned score
 #: or int64's minimum) is clamped to +-_SCORE_LIMIT, where every family already
 #: reads its far-tail value and x - 1 cannot wrap.
@@ -306,7 +308,7 @@ def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     x = _score_array(x)
     p = dist.params
     if isinstance(p, NegBinParams):
-        _, table = _nb_arrays(dist, int(x.max(initial=0)), _nb_settled)
+        table = _nb_table(dist, math.inf, int(x.max(initial=0)))
         # take clips a negative score to index 0; the mask zeroes it
         return _result(table.take(x, mode="clip") * (x >= 0))
     family_cdf = p._cdf
@@ -336,15 +338,6 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     points, index = np.unique(np.concatenate((x.ravel(), x.ravel() - 1)), return_inverse=True)
     values = cdf(dist, points)[index]  # one cdf evaluation per distinct score among x and x - 1
     return _result((values[: x.size] - values[x.size :]).reshape(x.shape))
-
-
-def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
-    """The count model's cumulative-mass table, grown until it reaches q,
-    settles, or runs past the cap."""
-    def done(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
-        return table[-1] >= q or _nb_settled(params, terms, table)
-
-    return _nb_arrays(dist, cap, done)[1]
 
 
 def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP) -> int | np.ndarray:
