@@ -97,10 +97,6 @@ class MatchRecord:
         if self.outcome is Outcome.TIE and first != second:
             raise InconsistentOutcome(f"tie requires equal scores, got {first} and {second}")
 
-    @property
-    def decisive(self) -> bool:
-        return self.outcome in (Outcome.BAT_FIRST_WIN, Outcome.BAT_SECOND_WIN)
-
 
 #: Map from venue (plus the pooled OVERALL_VENUE entry) to each case's
 #: scores, sorted.

@@ -252,7 +252,9 @@ class TestCategorize:
     def test_two_scores_per_decisive_match(self, tiny_records):
         dataset = categorize(tiny_records)
         decisive = sum(
-            1 for r in tiny_records if r.decisive and not r.reduced_overs
+            1
+            for r in tiny_records
+            if r.outcome in (Outcome.BAT_FIRST_WIN, Outcome.BAT_SECOND_WIN) and not r.reduced_overs
         )
         overall = dataset[OVERALL_VENUE]
         assert sum(len(overall[label]) for label in CaseLabel) == 2 * decisive
@@ -371,7 +373,7 @@ class TestProperties:
         dataset = categorize(records)
         wins: dict[tuple[str, Outcome], int] = {}
         for rec in records:
-            if rec.decisive and not rec.reduced_overs:
+            if rec.outcome in (Outcome.BAT_FIRST_WIN, Outcome.BAT_SECOND_WIN) and not rec.reduced_overs:
                 for venue in (rec.venue.casefold(), OVERALL_VENUE):
                     wins[venue, rec.outcome] = wins.get((venue, rec.outcome), 0) + 1
         for venue, samples in dataset.items():
