@@ -41,6 +41,8 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
 import sys
 import tempfile
 from collections import Counter
@@ -56,6 +58,7 @@ from fairchase.cli import _FIT_ERRORS, _curves_csv, main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN / "matches.csv"
 INDEX = GOLDEN / "index.json"
+WORKFLOW = GOLDEN.parents[1] / ".github" / "workflows" / "tests.yml"
 
 FAMILIES = ("nb", "normal", "logistic")
 CURVE_VENUES = "Auckland,Darwin,Eden,Fremantle"
@@ -197,6 +200,24 @@ def compare(name: str, got: str, want: str) -> None:
 def test_index_lists_every_case():
     index = json.loads(INDEX.read_text(encoding="utf-8"))
     assert {name: entry["argv"] for name, entry in index.items()} == golden_cases()
+
+
+def test_workflow_golden_steps_run_the_indexed_commands():
+    """Each CI step piping `fairchase ...` into cmp against a golden file runs
+    that file's index.json command with --data added; steps that read a
+    --config file are left out."""
+    index = json.loads(INDEX.read_text(encoding="utf-8"))
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    piped = [line for line in lines if "| cmp - tests/golden/" in line and "--config" not in line]
+    assert piped
+    for line in piped:
+        match = re.fullmatch(r"\s*run: fairchase (.+) \| cmp - tests/golden/(\S+)", line)
+        assert match, line
+        argv = shlex.split(match[1])
+        at = argv.index("--data")
+        assert argv[at + 1] == "tests/golden/matches.csv", line
+        del argv[at : at + 2]
+        assert argv == index[match[2]]["argv"], line
 
 
 @pytest.mark.parametrize("name", sorted(golden_cases()))
