@@ -137,10 +137,14 @@ def load_config_file(path: str | os.PathLike) -> AppConfig:
     """Defaults overridden by the ``key = value`` settings in a config file.
 
     Blank lines and lines starting with ``#`` are ignored. Unknown keys and
-    bad values raise FairchaseError naming their line.
+    bad values raise FairchaseError naming their line, and a file that is not
+    UTF-8 raises FairchaseError.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise FairchaseError(f"unreadable config file: {exc}") from None
 
     overrides = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -127,7 +127,7 @@ def parse_matches(source: Source) -> list[MatchRecord]:
     source may be a filesystem path or an open text stream. Every row is
     validated against the record invariants; the first offending row raises
     MalformedRow, InconsistentOutcome, or DuplicateMatchId with its line
-    number.
+    number. Input that is not UTF-8 raises MalformedRow with no line number.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -159,6 +159,9 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
             records.append(record)
     except csv.Error as exc:
         raise MalformedRow(f"unreadable CSV: {exc}", row=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        # the text layer decodes ahead of the reader, so the row is unknown
+        raise MalformedRow(f"unreadable CSV: {exc}") from None
     return records
 
 

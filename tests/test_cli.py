@@ -92,6 +92,16 @@ class TestSummary:
         assert code == 2
         assert "no input data" in err
 
+    def test_file_not_utf8_exits_2(self, cli, tmp_path):
+        data = tmp_path / "matches.csv"
+        data.write_bytes(b"match_id,venue,date,first_innings_runs,second_innings_runs,outcome,reduced_overs\n"
+                         b"m1,Syd\xffney,,250,200,BatFirstWin,false\n")
+        code, out, err = cli("summary", "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unreadable CSV: 'utf-8' codec can't decode byte 0xff in position 87: invalid start byte\n"
+        )
+
     def test_unknown_venue_exits_2(self, cli, data_csv):
         code, _, err = cli("summary", "--data", data_csv, "--venues", "Atlantis")
         assert code == 2
@@ -365,6 +375,15 @@ class TestSimulate:
         assert doc["trials"] == 20000
         assert doc["venue"] == "venue01"
 
+    def test_estimate_on_the_boundary_warns(self, cli):
+        code, out, err = cli(
+            "simulate", "--data", TestVenueSelection.GOLDEN_DATA, "--venue", "overall",
+            "--target", str(10**20), "--trials", "1000",
+        )
+        assert code == 0
+        assert json.loads(out)["degenerate"] is True
+        assert err == "warning: an estimate landed on the boundary; its standard error is degenerate\n"
+
     def test_seed_changes_estimates(self, cli, data_csv):
         base = ("simulate", "--data", data_csv, "--venue", "venue01", "--target", "330", "--trials", "5000")
         out_a = json.loads(cli(*base, "--seed", "1")[1])
@@ -503,6 +522,15 @@ class TestConfigFile:
         code, _, err = cli("summary", "--config", str(cfg))
         assert code == 2
 
+    def test_file_not_utf8_exits_2(self, cli, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_bytes(b"data = x\xff\n")
+        code, out, err = cli("summary", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unreadable config file: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+        )
+
     def test_bad_value_names_its_line(self, cli, data_csv, tmp_path):
         cfg = tmp_path / "app.cfg"
         cfg.write_text(f"data = {data_csv}\nseed = abc\n")
@@ -592,6 +620,9 @@ class TestArgparseBehavior:
         assert _exit_code(["summary", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.endswith("fairchase summary: error: argument --seed: seed must be at least 0, got -1\n")
+        assert _exit_code(["report", "--target-grid", ","]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("fairchase report: error: argument --target-grid: target_grid must list at least one target\n")
 
     @pytest.mark.parametrize("key", ["quantile_cap", "curve_max_score"])
     def test_setting_ceiling_is_the_largest_count_score(self, key, data_csv, tmp_path, capsys):

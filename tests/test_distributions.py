@@ -99,6 +99,12 @@ class TestParams:
         with pytest.raises(InvalidParams):
             LogisticParams(200.0, -1.0)
 
+    @pytest.mark.parametrize("params", [NormalParams, LogisticParams])
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_continuous_rejects_non_finite_mu(self, params, mu):
+        with pytest.raises(InvalidParams, match="^mu must be finite"):
+            params(mu, 1.0)
+
     def test_negbin_mean(self):
         assert NegBinParams(8.0, 0.04).mean == pytest.approx(192.0)
 
@@ -117,6 +123,15 @@ class TestParams:
     def test_params_of_no_family_raise(self):
         with pytest.raises(InvalidParams):
             FittedDist(params=(1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"log_likelihood": math.inf}, "log_likelihood must be finite"), ({"sample_size": -1}, "sample_size must be non-negative")],
+        ids=["log_likelihood", "sample_size"],
+    )
+    def test_fitted_rejects_bad_fields(self, fields, message):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            FittedDist(NormalParams(200.0, 40.0), **fields)
 
     @pytest.mark.parametrize(
         "kwargs", [{"min_sample_size": 1}, {"min_sample_size": 0}, {"quantile_cap": 0}, {"quantile_cap": -5}]

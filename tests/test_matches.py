@@ -73,11 +73,19 @@ class TestParse:
     def test_header_only_gives_empty_list(self):
         assert parse_text("") == []
 
-    def test_contradictory_outcome_rejected_with_row_number(self):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("m1,Sydney,,250,240,BatSecondWin,false", "outcome BatSecondWin requires second innings (240) above first (250)"),
+            ("m1,Sydney,,200,248,BatFirstWin,false", "outcome BatFirstWin requires second innings (248) below first (200)"),
+        ],
+        ids=["BatSecondWin", "BatFirstWin"],
+    )
+    def test_contradictory_outcome_rejected_with_row_number(self, row, message):
         with pytest.raises(InconsistentOutcome) as exc_info:
-            parse_text("m1,Sydney,,250,240,BatSecondWin,false\n")
+            parse_text(row + "\n")
         assert exc_info.value.row == 2
-        assert "row 2" in str(exc_info.value)
+        assert str(exc_info.value) == f"row 2: {message}"
 
     def test_duplicate_match_id_rejected(self):
         body = (
@@ -87,6 +95,10 @@ class TestParse:
         with pytest.raises(DuplicateMatchId) as exc_info:
             parse_text(body)
         assert exc_info.value.row == 3
+        # a blank line is skipped but still counted
+        with pytest.raises(DuplicateMatchId) as exc_info:
+            parse_text(body.replace("\n", "\n\n", 1))
+        assert str(exc_info.value) == "row 4: match_id 'm1' already seen"
 
     def test_wrong_header_rejected(self):
         with pytest.raises(MalformedRow):
@@ -140,7 +152,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "runs",
-        ["2_50", " 260", "260 ", "+5", "-0", "\u0661\u0662", "\uff12\uff15\uff10", "2\u00b2", "1e3", "", "2\r5"],
+        [
+            "2_50", " 260", "260 ", "+5", "-0", "\u0661\u0662", "\uff12\uff15\uff10", "2\u00b2", "1e3", "", "2\r5",
+            pytest.param("9" * 5000, id="more-digits-than-int-converts"),
+        ],
     )
     def test_runs_must_be_plain_ascii_digits(self, runs):
         with pytest.raises(MalformedRow) as exc_info:
@@ -214,6 +229,33 @@ class TestParse:
         with pytest.raises(MalformedRow) as exc_info:
             MatchRecord(match_id, venue, None, 248, 200, Outcome.BAT_FIRST_WIN, False)
         assert str(exc_info.value) == f"match_id and venue must not contain NUL, got {match_id!r} and {venue!r}"
+
+    def test_record_built_directly_rejects_negative_runs(self):
+        with pytest.raises(MalformedRow, match="^innings runs must be non-negative$"):
+            MatchRecord("m1", "Sydney", None, -1, 200, Outcome.BAT_SECOND_WIN, False)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(
+                HEADER_LINE.encode() + b"\nm1,Syd\xffney,,250,200,BatFirstWin,false\n",
+                "unreadable CSV: 'utf-8' codec can't decode byte 0xff in position 87: invalid start byte",
+                id="not-utf-8",
+            ),
+            pytest.param(
+                b"\xef\xbb\xbf" + HEADER_LINE.encode() + b"\n",
+                f"row 1: header must be exactly {HEADER_LINE}",
+                id="byte-order-mark",
+            ),
+        ],
+    )
+    def test_undecodable_file_is_a_malformed_row(self, tmp_path, data, message):
+        """The text layer decodes ahead of the reader, so a decode error carries no row."""
+        path = tmp_path / "matches.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_matches(path)
+        assert str(exc_info.value) == message
 
     def test_path_accepted(self, tmp_path):
         path = tmp_path / "matches.csv"

@@ -229,6 +229,15 @@ class TestSyntheticData:
                 case_dists={CaseLabel.BAT_FIRST_WIN: WIN},
             )
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(InconsistentSpec, match="match counts must be non-negative"):
+            SyntheticVenueSpec(venue="Bad", bat_first_wins=-1, bat_second_wins=0, case_dists={})
+
+    @pytest.mark.parametrize("num_venues, matches_per_venue", [(0, 100), (1, 1)])
+    def test_default_spec_rejects_too_few(self, num_venues, matches_per_venue):
+        with pytest.raises(FairchaseError, match="need at least one venue and two matches per venue"):
+            default_synthetic_spec(num_venues, matches_per_venue)
+
     def test_default_spec_shape(self):
         specs = default_synthetic_spec(num_venues=3, matches_per_venue=100)
         assert len(specs) == 3
