@@ -144,7 +144,7 @@ def load_config_file(path: str | os.PathLike) -> AppConfig:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
-        raise FairchaseError(f"unreadable config file: {exc}") from None
+        raise FairchaseError(f"unreadable config file: not UTF-8 ({exc.reason})") from None
 
     overrides = {}
     for lineno, raw in enumerate(lines, start=1):

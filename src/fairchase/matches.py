@@ -160,8 +160,9 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
     except csv.Error as exc:
         raise MalformedRow(f"unreadable CSV: {exc}", row=reader.line_num) from None
     except UnicodeDecodeError as exc:
-        # the text layer decodes ahead of the reader, so the row is unknown
-        raise MalformedRow(f"unreadable CSV: {exc}") from None
+        # the text layer decodes ahead of the reader, so the row is unknown,
+        # and exc's position counts from the start of a read chunk, not the file
+        raise MalformedRow(f"unreadable CSV: not UTF-8 ({exc.reason})") from None
     return records
 
 

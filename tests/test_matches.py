@@ -239,7 +239,7 @@ class TestParse:
         [
             pytest.param(
                 HEADER_LINE.encode() + b"\nm1,Syd\xffney,,250,200,BatFirstWin,false\n",
-                "unreadable CSV: 'utf-8' codec can't decode byte 0xff in position 87: invalid start byte",
+                "unreadable CSV: not UTF-8 (invalid start byte)",
                 id="not-utf-8",
             ),
             pytest.param(
