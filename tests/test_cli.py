@@ -99,6 +99,14 @@ class TestSummary:
         assert (code, out) == (2, "")
         assert err == "error: unreadable CSV: not UTF-8 (invalid start byte)\n"
 
+    def test_byte_order_mark_gives_the_golden_summary(self, cli, tmp_path):
+        """The same bytes CI's byte-order-mark step compares through the installed entry point."""
+        data = tmp_path / "matches.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + (ROOT / "tests" / "golden" / "matches.csv").read_bytes())
+        code, out, err = cli("summary", "--data", str(data))
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (ROOT / "tests" / "golden" / "summary.csv").read_bytes()
+
     def test_unknown_venue_exits_2(self, cli, data_csv):
         code, _, err = cli("summary", "--data", data_csv, "--venues", "Atlantis")
         assert code == 2

@@ -615,6 +615,26 @@ class TestFitNb:
             nearby = NegBinParams(n, n / (n + mean))
             assert fitted.log_likelihood >= math.fsum(nb_logpmf(x, nearby) for x in scores)
 
+    def test_refine_without_a_root_returns_the_end_the_score_points_to(self):
+        scores = seeded_nb_sample(8.0, 0.04, 500)
+        xs = np.asarray(scores)
+        search = (distributions._tail_counts(xs), int(xs.size), float(xs.mean()), 1e-8)
+        root = fit_nb(scores).params.n
+        # the score is positive below its root and negative above it
+        assert distributions._nb_refine(root / 100, root / 10, *search) == pytest.approx(root / 10, rel=1e-12)
+        assert distributions._nb_refine(root * 10, root * 100, *search) == pytest.approx(root * 10, rel=1e-12)
+
+    def test_flat_likelihood_keeps_the_smallest_flat_grid_n(self):
+        """Near-Poisson counts: the likelihood is flat to tolerance over the top
+        of the n grid, the refined n scores below the grid's best, and the fit
+        keeps the smallest flat grid point."""
+        scores = [0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0]
+        scores += [1, 3, 3, 1, 1, 3, 1, 2, 2, 2, 2, 2, 3, 3, 3, 0, 0, 2, 2, 4, 3, 2, 3, 0]
+        grid = np.exp(np.linspace(math.log(distributions._N_LOWER), math.log(distributions._N_UPPER), 64))
+        fitted = fit_nb(scores)
+        assert fitted.params.n == grid[60]
+        assert not fitted.degenerate
+
     def test_non_integer_scores_rejected(self):
         scores = seeded_nb_sample(8.0, 0.04, 100)
         with pytest.raises(InvalidParams):
