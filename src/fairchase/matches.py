@@ -128,12 +128,11 @@ def parse_matches(source: Source) -> list[MatchRecord]:
 
     source may be a filesystem path, decoded as UTF-8 after an optional
     byte-order mark, or an open text stream the caller has decoded. Each row
-    is checked once, where it is read: _parse_row holds the text rules and
-    calls _check_values, the value rules MatchRecord.__post_init__ also runs,
-    and _parse_stream adds the duplicate-id rule. The first offending row
-    raises MalformedRow, InconsistentOutcome, or DuplicateMatchId with its
-    line number. Input that is not UTF-8 raises MalformedRow with no line
-    number.
+    is checked once, where it is read: _parse_row's text rules, then the
+    value rules of _check_values (which MatchRecord.__post_init__ runs too),
+    then _parse_stream's duplicate id. The first offending row raises
+    MalformedRow, InconsistentOutcome, or DuplicateMatchId with its line
+    number; input that is not UTF-8 raises MalformedRow with none.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
@@ -164,7 +163,7 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
                 raise type(exc)(str(exc), row=reader.line_num) from None
             seen.add(match_id)
             # the checked values become the record's __dict__ without __post_init__, assigned
-            # whole: on 3.11 records with an updated __dict__ categorize 1.6 times slower
+            # whole: records whose __dict__ was updated categorized about 15% slower on 3.11
             record = object.__new__(MatchRecord)
             object.__setattr__(record, "__dict__", values)
             records.append(record)
