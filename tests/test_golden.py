@@ -52,6 +52,8 @@ def golden_cases() -> dict[str, tuple[list[str], int]]:
         "report.json": (["report", "--format", "json"], 0),
         # a cap below the fitted tails: pmf-mass and identity checks print FAIL lines
         "validate_cap250_nb.txt": (["validate", "--family", "nb", "--quantile-cap", "250"], 4),
+        # generate reads no data; run_case's --data is ignored
+        "generate.csv": (["generate", "--num-venues", "2", "--matches", "40", "--seed", "7"], 0),
     }
     for family in FAMILIES:
         flag = ["--family", family]
