@@ -62,7 +62,7 @@ class CaseLabel(str, Enum):
     BAT_SECOND_LOSE = "BatSecondLose"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatchRecord:
     match_id: str
     venue: str
@@ -72,32 +72,35 @@ class MatchRecord:
     outcome: Outcome
     reduced_overs: bool
 
-    def __post_init__(self):
-        _check_values(self.match_id, self.venue, self.first_innings_runs, self.second_innings_runs, self.outcome)
-
-
-def _check_values(match_id: str, venue: str, first: int, second: int, outcome: Outcome) -> None:
-    """The value rules of a record, whether parsed or built directly."""
-    if not match_id:
-        raise MalformedRow("match_id must be non-empty")
-    if not venue or venue != venue.strip():
-        raise MalformedRow(f"venue must be non-empty and trimmed, got {venue!r}")
-    if venue.casefold() == OVERALL_VENUE:
-        raise MalformedRow(f"venue name {OVERALL_VENUE!r} is reserved for the pooled entry")
-    if "\x00" in match_id or "\x00" in venue:
-        raise MalformedRow(f"match_id and venue must not contain NUL, got {match_id!r} and {venue!r}")
-    if first < 0 or second < 0:
-        raise MalformedRow("innings runs must be non-negative")
-    if outcome is Outcome.BAT_FIRST_WIN and not second < first:
-        raise InconsistentOutcome(
-            f"outcome {outcome.value} requires second innings ({second}) below first ({first})"
-        )
-    if outcome is Outcome.BAT_SECOND_WIN and not second > first:
-        raise InconsistentOutcome(
-            f"outcome {outcome.value} requires second innings ({second}) above first ({first})"
-        )
-    if outcome is Outcome.TIE and first != second:
-        raise InconsistentOutcome(f"tie requires equal scores, got {first} and {second}")
+    def __init__(self, match_id, venue, date, first_innings_runs, second_innings_runs, outcome, reduced_overs):
+        """Check the value rules once, in order, then store the fields."""
+        first, second = first_innings_runs, second_innings_runs
+        if not match_id:
+            raise MalformedRow("match_id must be non-empty")
+        if not venue or venue != venue.strip():
+            raise MalformedRow(f"venue must be non-empty and trimmed, got {venue!r}")
+        if venue.casefold() == OVERALL_VENUE:
+            raise MalformedRow(f"venue name {OVERALL_VENUE!r} is reserved for the pooled entry")
+        if "\x00" in match_id or "\x00" in venue:
+            raise MalformedRow(f"match_id and venue must not contain NUL, got {match_id!r} and {venue!r}")
+        if first < 0 or second < 0:
+            raise MalformedRow("innings runs must be non-negative")
+        if outcome is Outcome.BAT_FIRST_WIN and not second < first:
+            raise InconsistentOutcome(
+                f"outcome {outcome.value} requires second innings ({second}) below first ({first})"
+            )
+        if outcome is Outcome.BAT_SECOND_WIN and not second > first:
+            raise InconsistentOutcome(
+                f"outcome {outcome.value} requires second innings ({second}) above first ({first})"
+            )
+        if outcome is Outcome.TIE and first != second:
+            raise InconsistentOutcome(f"tie requires equal scores, got {first} and {second}")
+        # one assigned __dict__, not seven frozen setattrs: records whose
+        # __dict__ was updated instead categorized about 15% slower on 3.11
+        object.__setattr__(self, "__dict__", {
+            "match_id": match_id, "venue": venue, "date": date, "first_innings_runs": first,
+            "second_innings_runs": second, "outcome": outcome, "reduced_overs": reduced_overs,
+        })
 
 
 #: Map from venue (plus the pooled OVERALL_VENUE entry) to each case's
@@ -129,8 +132,8 @@ def parse_matches(source: Source) -> list[MatchRecord]:
     source may be a filesystem path, decoded as UTF-8 after an optional
     byte-order mark, or an open text stream the caller has decoded. Each row
     is checked once, where it is read: _parse_row's text rules, then the
-    value rules of _check_values (which MatchRecord.__post_init__ runs too),
-    then _parse_stream's duplicate id. The first offending row raises
+    value rules of MatchRecord's constructor, the one every record goes
+    through, then _parse_stream's duplicate id. The first offending row raises
     MalformedRow, InconsistentOutcome, or DuplicateMatchId with its line
     number; input that is not UTF-8 raises MalformedRow with none.
     """
@@ -155,17 +158,12 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
             if not fields:
                 continue
             try:
-                values = _parse_row(fields)
-                match_id = values["match_id"]
-                if match_id in seen:
-                    raise DuplicateMatchId(f"match_id {match_id!r} already seen")
+                record = _parse_row(fields)
+                if record.match_id in seen:
+                    raise DuplicateMatchId(f"match_id {record.match_id!r} already seen")
             except RowError as exc:
                 raise type(exc)(str(exc), row=reader.line_num) from None
-            seen.add(match_id)
-            # the checked values become the record's __dict__ without __post_init__, assigned
-            # whole: records whose __dict__ was updated categorized about 15% slower on 3.11
-            record = object.__new__(MatchRecord)
-            object.__setattr__(record, "__dict__", values)
+            seen.add(record.match_id)
             records.append(record)
     except csv.Error as exc:
         raise MalformedRow(f"unreadable CSV: {exc}", row=reader.line_num) from None
@@ -176,9 +174,9 @@ def _parse_stream(stream: IO[str]) -> list[MatchRecord]:
     return records
 
 
-def _parse_row(fields: Sequence[str]) -> dict:
-    """One row's checked field values, keyed by field name: the text rules
-    here, then the value rules in _check_values, shared with MatchRecord."""
+def _parse_row(fields: Sequence[str]) -> MatchRecord:
+    """One row's record: the text rules here, then the value rules in
+    MatchRecord's constructor."""
     if len(fields) != len(CSV_HEADER):
         raise MalformedRow(f"expected {len(CSV_HEADER)} fields, got {len(fields)}")
     match_id, venue, date_text, first_text, second_text, outcome_text, reduced_text = fields
@@ -203,10 +201,7 @@ def _parse_row(fields: Sequence[str]) -> dict:
         raise MalformedRow(f"outcome must be one of {[o.value for o in Outcome]}, got {outcome_text!r}")
     if reduced_text not in ("true", "false"):
         raise MalformedRow(f"reduced_overs must be true or false, got {reduced_text!r}")
-    venue = venue.strip()
-    _check_values(match_id, venue, first, second, outcome)
-    return {"match_id": match_id, "venue": venue, "date": date, "first_innings_runs": first,
-            "second_innings_runs": second, "outcome": outcome, "reduced_overs": reduced_text == "true"}
+    return MatchRecord(match_id, venue.strip(), date, first, second, outcome, reduced_text == "true")
 
 
 def _parse_runs(label: str, text: str) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import inspect
 import io
 import math
 import pickle
@@ -63,7 +64,8 @@ MALFORMED_ROWS = {
 
 
 #: Each value rule: a row's match_id, venue, runs and outcome, and the error
-#: that both parse_matches (after "row 2: ") and MatchRecord(...) raise.
+#: that parse_matches (after "row 2: "), MatchRecord(...) and
+#: dataclasses.replace all raise.
 VALUE_RULES = [
     pytest.param("", "Sydney", 248, 200, "BatFirstWin", MalformedRow, "match_id must be non-empty", id="empty-id"),
     pytest.param(
@@ -284,6 +286,17 @@ class TestParse:
         with pytest.raises(error) as built:
             MatchRecord(match_id, venue, None, first, second, Outcome(outcome), False)
         assert type(built.value) is error and str(built.value) == message
+        valid = MatchRecord("m0", "Perth", None, 250, 200, Outcome.BAT_FIRST_WIN, False)
+        bad = dict(match_id=match_id, venue=venue, first_innings_runs=first, second_innings_runs=second,
+                   outcome=Outcome(outcome))
+        with pytest.raises(error) as replaced:
+            dataclasses.replace(valid, **bad)
+        assert type(replaced.value) is error and str(replaced.value) == message
+
+    def test_constructor_takes_the_fields_in_csv_order(self):
+        """The hand-written constructor's parameters are the record's fields and the CSV header."""
+        fields = [f.name for f in dataclasses.fields(MatchRecord)]
+        assert list(inspect.signature(MatchRecord).parameters) == fields == list(CSV_HEADER)
 
     @pytest.mark.parametrize("source", ["golden", "generated"])
     def test_parsed_records_are_the_constructors_records(self, source, synthetic_records):
