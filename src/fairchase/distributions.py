@@ -38,7 +38,8 @@ DEFAULT_QUANTILE_CAP = 2000
 DEFAULT_MIN_SAMPLE_SIZE = 10
 
 #: The count-model fit searches the dispersion n over [_N_LOWER, _N_UPPER]
-#: to _N_REL_TOL in log(n); a fit within 0.1% of _N_UPPER is flagged degenerate.
+#: to _N_REL_TOL in log(n); a fit within 0.1% of _N_UPPER, or whose likelihood
+#: is flat to tolerance from its n up to _N_UPPER, is flagged degenerate.
 _N_LOWER = 1e-3
 _N_UPPER = 1e6
 _N_REL_TOL = 1e-8
@@ -149,7 +150,8 @@ class FittedDist:
 
     sample_size is 0 for distributions built directly from parameters rather
     than from data. degenerate marks fits where the dispersion search hit its
-    bound and the parameters should not be trusted. The family is the
+    bound, or found the likelihood flat up to it, and the parameters should
+    not be trusted. The family is the
     params class's.
     """
 
@@ -534,7 +536,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
-    degenerate = n_hat >= 0.999 * _N_UPPER
+    degenerate = bool(flat[-1]) or n_hat >= 0.999 * _N_UPPER
     return FittedDist(params, size, ll, degenerate=degenerate)
 
 

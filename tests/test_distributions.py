@@ -627,13 +627,14 @@ class TestFitNb:
     def test_flat_likelihood_keeps_the_smallest_flat_grid_n(self):
         """Near-Poisson counts: the likelihood is flat to tolerance over the top
         of the n grid, the refined n scores below the grid's best, and the fit
-        keeps the smallest flat grid point."""
+        keeps the smallest flat grid point; a run flat up to the bound is
+        flagged degenerate."""
         scores = [0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0]
         scores += [1, 3, 3, 1, 1, 3, 1, 2, 2, 2, 2, 2, 3, 3, 3, 0, 0, 2, 2, 4, 3, 2, 3, 0]
         grid = np.exp(np.linspace(math.log(distributions._N_LOWER), math.log(distributions._N_UPPER), 64))
         fitted = fit_nb(scores)
         assert fitted.params.n == grid[60]
-        assert not fitted.degenerate
+        assert fitted.degenerate
 
     def test_non_integer_scores_rejected(self):
         scores = seeded_nb_sample(8.0, 0.04, 100)
