@@ -151,8 +151,7 @@ class FittedDist:
     sample_size is 0 for distributions built directly from parameters rather
     than from data. degenerate marks fits where the dispersion search hit its
     bound, or found the likelihood flat up to it, and the parameters should
-    not be trusted. The family is the
-    params class's.
+    not be trusted. The family is the params class's.
     """
 
     params: Params

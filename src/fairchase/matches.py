@@ -132,10 +132,10 @@ def parse_matches(source: Source) -> list[MatchRecord]:
     source may be a filesystem path, decoded as UTF-8 after an optional
     byte-order mark, or an open text stream the caller has decoded. Each row
     is checked once, where it is read: _parse_row's text rules, then the
-    value rules of MatchRecord's constructor, the one every record goes
-    through, then _parse_stream's duplicate id. The first offending row raises
-    MalformedRow, InconsistentOutcome, or DuplicateMatchId with its line
-    number; input that is not UTF-8 raises MalformedRow with none.
+    value rules of MatchRecord's constructor, which every record goes
+    through, then _parse_stream's duplicate id. The first offending row
+    raises MalformedRow, InconsistentOutcome, or DuplicateMatchId with its
+    line number; input that is not UTF-8 raises MalformedRow with none.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
