@@ -7,7 +7,9 @@ CDF scans for quantiles.
 
 from __future__ import annotations
 
+import json
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -743,6 +745,18 @@ class TestSerialization:
         assert doc["family"] == "negbin"
         assert doc["params"] == {"n": 8.0, "p": 0.04}
         assert doc["degenerate_flag"] is False
+
+    def test_grown_table_leaves_no_trace(self):
+        """A negbin fit whose cumulative-mass table has grown serializes,
+        compares, hashes and prints as a fresh one, and pickles to the same CDF."""
+        grown, fresh = FittedDist.negbin(8.0, 0.04), FittedDist.negbin(8.0, 0.04)
+        cdf(grown, 3000)
+        doc = fitted_to_dict(grown, "Sydney", "BatFirstWin")
+        assert json.dumps(doc) == json.dumps(fitted_to_dict(fresh, "Sydney", "BatFirstWin"))
+        assert grown == fresh and hash(grown) == hash(fresh) and repr(grown) == repr(fresh)
+        assert fitted_from_dict(doc) == ("Sydney", "BatFirstWin", fresh)
+        scores = np.arange(-1, 3001)
+        assert cdf(pickle.loads(pickle.dumps(grown)), scores).tolist() == cdf(fresh, scores).tolist()
 
     def test_deserialization_validates(self):
         doc = fitted_to_dict(FittedDist.negbin(8.0, 0.04), "Sydney", "BatFirstWin")
