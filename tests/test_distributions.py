@@ -373,6 +373,8 @@ class TestArrayQuantile:
     )
     @example(n=8.0, p=0.04, mu=200.0, scale=30.0, qs=EDGE_QS, cap=2000)
     @example(n=20.0, p=0.1, mu=200.0, scale=30.0, qs=[0.9999999999999974], cap=2000)
+    # a continuous inverse past int64 is clamped to the cap before it becomes an array
+    @example(n=8.0, p=0.04, mu=0.0, scale=1e300, qs=[1e-12, 0.5, 0.9], cap=2**63 - 1)
     def test_array_matches_scalar(self, n, p, mu, scale, qs, cap):
         for family in Family:
             dist = {
