@@ -4,13 +4,13 @@ Three families model innings totals: a negative binomial (the primary count
 model, fitted by maximum likelihood), plus normal and logistic comparators
 fitted by moments. The negative binomial's pmf sums the ratio of successive
 scores in log space; its cdf, survival and quantile read a cumulative-mass
-table of those terms. Terms and table are cached together on the fitted
-distribution (replaced whole, never mutated, so fitted distributions are
-immutable values safe to share across threads). pmf, cdf and survival take
-one integer score or an integer numpy array of them and evaluate both the
-same way: one score gives a float, an array a float array of its shape.
-Each params class holds its family's formulas: the mean, seeded draws and,
-for the continuous families, the CDF at one score and its inverse.
+table of those terms. Terms and table are cached together on its parameters
+(replaced whole, never mutated, so fitted distributions are immutable values
+safe to share across threads). pmf, cdf and survival take one integer score
+or an integer numpy array of them and evaluate both the same way: one score
+gives a float, an array a float array of its shape. Each params class holds
+its family's formulas: the mean, seeded draws, and the cumulative mass, the
+mass and the inverse up to a cap, at one score or an array of them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import statistics
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Sequence, Union, get_args
 
@@ -79,9 +79,45 @@ class NegBinParams:
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.poisson(rng.gamma(shape=self.n, scale=(1.0 - self.p) / self.p, size=count)).astype(np.int64)
 
+    # take clips x < 0 to index 0, which the mask zeroes, and x past underflowed terms to 0.0
+    def _cdf_array(self, x: np.ndarray) -> np.ndarray:
+        return _nb_table(self, math.inf, int(x.max(initial=0))).take(x, mode="clip") * (x >= 0)
+
+    def _pmf_array(self, x: np.ndarray) -> np.ndarray:
+        return _nb_arrays(self, int(x.max(initial=0)), _nb_underflowed)[0].take(x, mode="clip") * (x >= 0)
+
+    def _inverse(self, q: float, cap: int) -> int:
+        table = _nb_table(self, q, cap)
+        x = int(np.searchsorted(table, q))
+        return cap + 1 if x == table.size else x  # the table settled below q, or ran past the cap
+
+    def _inverse_array(self, q: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        table = _nb_table(self, float(q.max(initial=0.0)), cap)
+        found = np.searchsorted(table, q)
+        return found, (found == table.size) | (found > cap)
+
+
+class _Continuous:
+    """Array evaluation the analytic laws share, built on their _cdf and _inverse."""
+
+    def _cdf_array(self, x: np.ndarray) -> np.ndarray:
+        family_cdf = self._cdf
+        values = [0.0 if v < 0 else family_cdf(v) for v in x.ravel().tolist()]
+        return np.array(values, dtype=float).reshape(x.shape)
+
+    def _pmf_array(self, x: np.ndarray) -> np.ndarray:
+        points, index = np.unique(np.concatenate((x.ravel(), x.ravel() - 1)), return_inverse=True)
+        values = self._cdf_array(points)[index]  # one cdf evaluation per distinct score among x and x - 1
+        return (values[: x.size] - values[x.size :]).reshape(x.shape)
+
+    def _inverse_array(self, q: np.ndarray, cap: int) -> tuple[list[int], list[bool]]:
+        """Scores clamped to [0, cap] as Python ints, since a ceiling can pass int64; which exceeded cap."""
+        found = [self._inverse(v, cap) for v in q.tolist()]
+        return [min(max(v, 0), cap) for v in found], [v > cap for v in found]
+
 
 @dataclass(frozen=True)
-class NormalParams:
+class NormalParams(_Continuous):
     family: ClassVar[Family] = Family.NORMAL
     mu: float
     sigma: float
@@ -99,8 +135,8 @@ class NormalParams:
     def _cdf(self, x: int) -> float:
         return 0.5 * math.erfc(-(x - self.mu) / self.sigma / _SQRT2)
 
-    def _inverse(self, q: float) -> int:
-        """Ceiling of the inverse CDF at 0 < q < 1 (not floored at 0)."""
+    def _inverse(self, q: float, cap: int) -> int:
+        """Ceiling of the inverse CDF at 0 < q < 1 (not floored at 0, nor capped)."""
         return math.ceil(self.mu + self.sigma * _STANDARD_NORMAL.inv_cdf(q))
 
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -109,7 +145,7 @@ class NormalParams:
 
 
 @dataclass(frozen=True)
-class LogisticParams:
+class LogisticParams(_Continuous):
     family: ClassVar[Family] = Family.LOGISTIC
     mu: float
     s: float
@@ -132,7 +168,7 @@ class LogisticParams:
         e = math.exp(z)
         return e / (1.0 + e)
 
-    def _inverse(self, q: float) -> int:
+    def _inverse(self, q: float, cap: int) -> int:
         return math.ceil(self.mu + self.s * (math.log(q) - math.log1p(-q)))
 
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -158,11 +194,6 @@ class FittedDist:
     sample_size: int = 0
     log_likelihood: float = 0.0
     degenerate: bool = False
-    #: Negative binomial only: pmf terms and cumulative mass at 0, 1, ...,
-    #: len - 1, grown together on demand by _nb_arrays.
-    _nb_cache: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not isinstance(self.params, Params):
@@ -240,16 +271,16 @@ def _nb_log_terms(params: NegBinParams, length: int) -> np.ndarray:
 
 
 def _nb_arrays(
-    dist: FittedDist, x: int, done: Callable[[NegBinParams, np.ndarray, np.ndarray], bool]
+    params: NegBinParams, x: int, done: Callable[[NegBinParams, np.ndarray, np.ndarray], bool]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The count model's pmf terms and cumulative-mass table, long enough to
     hold score x or until done(params, terms, table) holds.
 
     The terms are the exponentiated _nb_log_terms; the table sums them in
-    order and clips at 1. Every length is computed from scratch.
+    order and clips at 1. Every length is computed from scratch. Both are
+    cached on params outside its fields, unseen by asdict, ==, hash and repr.
     """
-    params = dist.params
-    arrays = dist._nb_cache
+    arrays = params.__dict__.get("_nb_cache")
     if arrays is not None and (x < arrays[0].size or done(params, *arrays)):
         return arrays
     length = _MIN_TABLE if arrays is None else 2 * arrays[0].size
@@ -259,11 +290,11 @@ def _nb_arrays(
         if x < length or done(params, *arrays):
             break
         length *= 2
-    object.__setattr__(dist, "_nb_cache", arrays)  # one assignment: readers see old or new
+    object.__setattr__(params, "_nb_cache", arrays)  # one assignment: readers see old or new
     return arrays
 
 
-def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
+def _nb_table(params: NegBinParams, q: float, cap: int) -> np.ndarray:
     """The count model's cumulative-mass table, grown until it holds score
     cap, reaches q, or settles: past the mode each pmf term is smaller than
     the one before, so once a term leaves the sum unchanged every later
@@ -271,7 +302,7 @@ def _nb_table(dist: FittedDist, q: float, cap: int) -> np.ndarray:
     def done(params: NegBinParams, terms: np.ndarray, table: np.ndarray) -> bool:
         return table[-1] >= q or (_past_mode(params, table.size - 2) and table[-1] == table[-2])
 
-    return _nb_arrays(dist, cap, done)[1]
+    return _nb_arrays(params, cap, done)[1]
 
 
 #: Largest int64. A score past it either way (a Python int, an unsigned score
@@ -300,21 +331,13 @@ def _result(values: np.ndarray) -> float | np.ndarray:
 def cdf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     """P(X <= x). Scores are non-negative, so any x < 0 returns 0.
 
-    The negative binomial reads a cumulative-mass table held by the fitted
-    distribution: the pmf summed in order from 0 to x, grown to the largest
+    The negative binomial reads a cumulative-mass table held by its
+    parameters: the pmf summed in order from 0 to x, grown to the largest
     score asked for. The continuous families evaluate their analytic CDF
     directly at integer x, with no continuity correction. One integer gives
     a float; an integer array gives a float array of its shape.
     """
-    x = _score_array(x)
-    p = dist.params
-    if isinstance(p, NegBinParams):
-        table = _nb_table(dist, math.inf, int(x.max(initial=0)))
-        # take clips a negative score to index 0; the mask zeroes it
-        return _result(table.take(x, mode="clip") * (x >= 0))
-    family_cdf = p._cdf
-    values = [0.0 if v < 0 else family_cdf(v) for v in x.ravel().tolist()]
-    return _result(np.array(values, dtype=float).reshape(x.shape))
+    return _result(dist.params._cdf_array(_score_array(x)))
 
 
 def survival(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
@@ -330,15 +353,7 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
     unit-step mass cdf(x) - cdf(x - 1), which is the resolution limit of any
     integer-valued inversion.
     """
-    x = _score_array(x)
-    if isinstance(dist.params, NegBinParams):
-        terms, _ = _nb_arrays(dist, int(x.max(initial=0)), _nb_underflowed)
-        # take clips a negative score to index 0, which the mask zeroes, and a
-        # score past an underflowed array to its last term, 0.0
-        return _result(terms.take(x, mode="clip") * (x >= 0))
-    points, index = np.unique(np.concatenate((x.ravel(), x.ravel() - 1)), return_inverse=True)
-    values = cdf(dist, points)[index]  # one cdf evaluation per distinct score among x and x - 1
-    return _result((values[: x.size] - values[x.size :]).reshape(x.shape))
+    return _result(dist.params._pmf_array(_score_array(x)))
 
 
 def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP) -> int | np.ndarray:
@@ -370,14 +385,7 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
         )
         return cap
 
-    p = dist.params
-    if isinstance(p, NegBinParams):
-        table = _nb_table(dist, q, cap)
-        x = int(np.searchsorted(table, q))
-        if x == table.size:  # the table settled below q, or ran past the cap
-            x = cap + 1
-    else:
-        x = p._inverse(q)
+    x = dist.params._inverse(q, cap)
     if x > cap:
         warnings.warn(
             f"quantile({q}) exceeds the hard cap {cap}", DegenerateQuantileWarning, stacklevel=2
@@ -392,15 +400,7 @@ def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise InvalidParams("quantile probabilities must lie in [0, 1]")
     inner, over, x = (q > 0.0) & (q < 1.0), q == 1.0, np.zeros(q.shape, dtype=np.int64)
-    if isinstance(dist.params, NegBinParams):
-        table = _nb_table(dist, float(q[inner].max(initial=0.0)), cap)
-        found = np.searchsorted(table, q[inner])
-        over[inner] = (found == table.size) | (found > cap)
-    else:
-        found = list(map(dist.params._inverse, q[inner].tolist()))
-        over[inner] = [v > cap for v in found]
-        found = [min(max(v, 0), cap) for v in found]
-    x[inner] = found
+    x[inner], over[inner] = dist.params._inverse_array(q[inner], cap)
     if over.any():
         message = f"{np.count_nonzero(over)} quantiles exceed the hard cap {cap}"
         warnings.warn(message, DegenerateQuantileWarning, stacklevel=3)

@@ -217,7 +217,7 @@ class TestCdfSurvival:
         dist = FittedDist.negbin(8.0, 0.04)
         assert cdf(dist, 10**9) == cdf(dist, 5000)
         assert cdf(dist, 10**9) == pytest.approx(1.0, abs=1e-12)
-        assert len(dist._nb_cache[1]) <= 4096
+        assert len(dist.params._nb_cache[1]) <= 4096
 
     def test_nb_cdf_shared_across_threads(self):
         reference = FittedDist.negbin(3.0, 0.02)
@@ -576,7 +576,7 @@ class TestArrayEvaluation:
     def test_nb_table_grows_once_to_the_largest_score(self):
         dist = FittedDist.negbin(8.0, 0.004)  # mean 1992
         cdf(dist, np.array([0, 3000]))
-        assert len(dist._nb_cache[1]) == 4096
+        assert len(dist.params._nb_cache[1]) == 4096
 
 
 def seeded_nb_sample(n: float, p: float, size: int, seed: int = 11) -> list[int]:
