@@ -357,7 +357,7 @@ def pmf(dist: FittedDist, x: int | np.ndarray) -> float | np.ndarray:
 
 
 def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTILE_CAP) -> int | np.ndarray:
-    """Smallest integer score x >= 0 with cdf(x) >= q.
+    """Smallest integer score x >= 0 with cdf(x) >= q, up to a cap in [0, 2**63 - 1].
 
     The negative binomial is inverted exactly by binary search on its
     cumulative-mass table; the continuous families take the ceiling of the
@@ -369,6 +369,8 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
     probabilities gives an int64 array of its shape, every element the
     scalar answer, and at most one warning for all elements at the cap.
     """
+    if not 0 <= cap <= _SCORE_LIMIT:
+        raise InvalidParams(f"quantile cap must lie in [0, {_SCORE_LIMIT}], got {cap}")
     if isinstance(q, np.ndarray):
         if q.ndim:
             return _quantile_array(dist, q, cap)

@@ -305,6 +305,23 @@ class TestQuantile:
         with pytest.warns(DegenerateQuantileWarning, match=rf"^quantile\({q}\) exceeds the hard cap 50$"):
             assert quantile(dist, q, cap=50) == 50
 
+    @pytest.mark.parametrize(
+        "dist",
+        [FittedDist.negbin(8.0, 0.04), FittedDist.normal(192.0, 45.0), FittedDist.logistic(192.0, 25.0)],
+    )
+    def test_cap_must_be_a_score(self, dist):
+        """A cap below 0 or past int64 is rejected by the scalar and the array
+        call alike; at either edge both answer, and agree."""
+        for cap in (-1, 2**63):
+            for q in (0.5, np.array([0.5, 1.0])):
+                with pytest.raises(InvalidParams, match="cap"):
+                    quantile(dist, q, cap=cap)
+        median = quantile(dist, 0.5)
+        for cap in (0, 2**63 - 1):
+            xs, warned = _quantile_warned(dist, np.array([0.5, 1.0]), cap)
+            assert xs.tolist() == [_quantile_warned(dist, q, cap)[0] for q in (0.5, 1.0)]
+            assert xs.tolist() == [min(median, cap), cap] and warned
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.floats(min_value=0.5, max_value=200.0),
