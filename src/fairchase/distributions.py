@@ -111,7 +111,7 @@ class _Continuous:
         return (values[: x.size] - values[x.size :]).reshape(x.shape)
 
     def _inverse_array(self, q: np.ndarray, cap: int) -> tuple[list[int], list[bool]]:
-        """Scores clamped to [0, cap] as Python ints, since a ceiling can pass int64; which exceeded cap."""
+        """The scores, clamped to [0, cap] as Python ints (a ceiling can pass int64), and which passed cap."""
         found = [self._inverse(v, cap) for v in q.tolist()]
         return [min(max(v, 0), cap) for v in found], [v > cap for v in found]
 
