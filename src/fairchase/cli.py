@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, run: Callable[..., int], help: str) -> argparse.ArgumentParser:
+    def add(name: str, run: Callable[..., tuple[str | None, int]], help: str) -> argparse.ArgumentParser:
         command = sub.add_parser(name, parents=[common], help=help)
         command.set_defaults(run=run)
         return command
@@ -163,15 +163,14 @@ def _slug(venue: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in venue.lower()).strip("-") or "venue"
 
 
-def _cmd_summary(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_summary(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     _, dataset = _load_dataset(config)
     rows = summarize(dataset, config.venues)
     text = summary_to_csv(rows) if config.format == "csv" else summary_to_json(rows)
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
-def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     _, dataset = _load_dataset(config)
     fit_config = config.fit_config()
     entries = []
@@ -183,8 +182,7 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> int:
                 _warn(f"skipping {name}/{label.name.lower()}: {exc}")
                 continue
             entries.append((name, label.value, dist))
-    _emit(fitted_to_json(entries), args.out)
-    return 0
+    return fitted_to_json(entries), 0
 
 
 def _curves_csv(fits: Mapping[CaseLabel, FittedDist], max_score: int) -> str:
@@ -196,7 +194,7 @@ def _curves_csv(fits: Mapping[CaseLabel, FittedDist], max_score: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> tuple[None, int]:
     _, dataset = _load_dataset(config)
     if not args.out:
         raise FairchaseError("curves writes one CSV per venue; pass --out DIRECTORY")
@@ -220,10 +218,10 @@ def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> int:
         path = out_dir / f"curves_{_slug(name)}.csv"
         path.write_text(_curves_csv(fits, config.curve_max_score), encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return None, 0
 
 
-def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     _, dataset = _load_dataset(config)
     if args.target < LOW_TARGET_WARNING_THRESHOLD:
         _warn(
@@ -240,44 +238,40 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> int:
     else:
         values = cell_to_dict(cell)
         text = json.dumps({key: values[key] for key in columns}, indent=2)
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
-def _cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_report(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     _, dataset = _load_dataset(config)
     names = select_venues(dataset, config.venues)
     filtered = {name: dataset[name] for name in names}
     families = tuple(Family) if config.family is None else (config.family,)
     report = revision_report(filtered, families, config.target_grid, config.fit_config())
     text = report_to_csv(report) if config.format == "csv" else report_to_json(report)
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
-def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     _, dataset = _load_dataset(config)
     model = build_model(dataset, args.venue, config.fit_family, config.fit_config())
     result = check_equalization(model, args.target, args.trials, config.seed)
     if result.degenerate:
         _warn("an estimate landed on the boundary; its standard error is degenerate")
-    _emit(json.dumps(result.to_dict(), indent=2), args.out)
-    return 0
+    return json.dumps(result.to_dict(), indent=2), 0
 
 
-def _cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_generate(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     specs = default_synthetic_spec(args.num_venues, args.matches)
     records = generate_synthetic_dataset(specs, config.seed)
-    _emit(serialize_matches(records), args.out)
-    return 0
+    return serialize_matches(records), 0
 
 
-def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     records, dataset = _load_dataset(config)
-    checks: list[tuple[str, bool, str]] = []
+    lines: list[str] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
+        lines.append(f"ok: {name}" if ok else f"FAIL: {name}" + (f" ({detail})" if detail else ""))
 
     reparsed = parse_matches(io.StringIO(serialize_matches(records)))
     check("csv round trip preserves records", reparsed == records)
@@ -310,14 +304,9 @@ def _cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
         revised = [r.revised for r in results]
         check(f"{name}: revised target non-decreasing in actual target", revised == sorted(revised))
 
-    failures = 0
-    for name, ok, detail in checks:
-        status = "ok" if ok else "FAIL"
-        suffix = f" ({detail})" if detail and not ok else ""
-        print(f"{status}: {name}{suffix}")
-        failures += 0 if ok else 1
-    print(f"validate: {len(checks)} checks, {failures} failures")
-    return 4 if failures else 0
+    failures = sum(line.startswith("FAIL: ") for line in lines)
+    lines.append(f"validate: {len(lines)} checks, {failures} failures")
+    return "\n".join(lines), 4 if failures else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -327,7 +316,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.simplefilter("always", DegenerateQuantileWarning)
         warnings.showwarning = lambda message, *_: _warn(str(message))
         try:
-            return args.run(args, _resolve_config(args))
+            text, code = args.run(args, _resolve_config(args))
+            if text is not None:
+                _emit(text, args.out)
+            return code
         except _MODEL_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

@@ -174,6 +174,38 @@ def test_validate_past_the_first_table(family):
     assert text == read_exact(GOLDEN / f"validate_{family}.txt")
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "summary.csv",
+        "fit_nb.json",
+        "revise_nb.csv",
+        "report_nb.csv",
+        "simulate_nb.json",
+        "generate.csv",
+        "validate_nb.txt",
+        "validate_cap250_nb.txt",
+    ],
+)
+def test_out_holds_the_golden_bytes(name, tmp_path):
+    """Every single-output command writes to --out the bytes it would print, and prints nothing."""
+    argv, exit_code = golden_cases()[name]
+    out = tmp_path / name
+    assert run_case([*argv, "--out", str(out)]) == (exit_code, "")
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["summary.csv", "validate_nb.txt"])
+def test_out_in_a_missing_directory_exits_2(name, tmp_path, capsys):
+    """An unwritable --out is an input error: one error line, nothing on stdout."""
+    argv, _ = golden_cases()[name]
+    code = main([*argv, "--data", str(DATA), "--out", str(tmp_path / "missing" / name)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: [Errno 2] "), captured.err
+
+
 def test_revise_past_the_int64_range():
     """A target beyond int64 reads the settled far tail of the fitted curve."""
     code, text = run_case(["revise", "--venue", "overall", "--target", str(10**20)])
