@@ -311,6 +311,11 @@ def _nb_table(params: NegBinParams, q: float, cap: int) -> np.ndarray:
 _SCORE_LIMIT = 2**63 - 1
 
 
+def _check_cap(cap: int) -> None:
+    if not 0 <= cap <= _SCORE_LIMIT:
+        raise InvalidParams(f"quantile cap must lie in [0, {_SCORE_LIMIT}], got {cap}")
+
+
 def _score_array(x: int | np.ndarray) -> np.ndarray:
     """Scores as an int64 array; a Python int becomes a 0-d array."""
     if isinstance(x, int):
@@ -369,8 +374,7 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
     probabilities gives an int64 array of its shape, every element the
     scalar answer, and at most one warning for all elements at the cap.
     """
-    if not 0 <= cap <= _SCORE_LIMIT:
-        raise InvalidParams(f"quantile cap must lie in [0, {_SCORE_LIMIT}], got {cap}")
+    _check_cap(cap)
     if isinstance(q, np.ndarray):
         if q.ndim:
             return _quantile_array(dist, q, cap)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .distributions import (
     _SCORE_LIMIT,
+    _check_cap,
     DEFAULT_FIT_CONFIG,
     Family,
     FitConfig,
@@ -60,6 +61,7 @@ class RevisionModel:
             raise FairchaseError(f"win_ratio must be finite and positive, got {self.win_ratio}")
         if self.dist_bat_first_win.family is not self.dist_bat_second_win.family:
             raise FairchaseError("both fitted distributions must be of one family")
+        _check_cap(self.quantile_cap)
 
     @property
     def family(self) -> Family:

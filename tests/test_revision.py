@@ -18,6 +18,7 @@ from fairchase import (
     FitConfig,
     FittedDist,
     InsufficientSample,
+    InvalidParams,
     RevisionModel,
     SyntheticVenueSpec,
     TargetCell,
@@ -156,6 +157,16 @@ class TestBuildModel:
                 dist_bat_second_win=WIN_DIST,
                 quantile_cap=2000,
             )
+
+    @pytest.mark.parametrize("cap", [-5, 2**63])
+    def test_cap_outside_the_score_range_rejected(self, cap):
+        """A cap quantile would refuse fails when the model is built, not at revise_target."""
+        with pytest.raises(InvalidParams, match=r"quantile cap must lie in \[0, 9223372036854775807\]"):
+            RevisionModel("x", 1.5, WIN_DIST, WIN_DIST, quantile_cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, 2**63 - 1, 2000])
+    def test_cap_inside_the_score_range_accepted(self, cap):
+        assert RevisionModel("x", 1.5, WIN_DIST, WIN_DIST, quantile_cap=cap).quantile_cap == cap
 
 
 class TestReviseTarget:
