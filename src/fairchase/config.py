@@ -136,12 +136,12 @@ _SETTINGS_BY_KEY = {s.key: s for s in SETTINGS}
 def load_config_file(path: str | os.PathLike) -> AppConfig:
     """Defaults overridden by the ``key = value`` settings in a config file.
 
-    Blank lines and lines starting with ``#`` are ignored. Unknown keys and
-    bad values raise FairchaseError naming their line, and a file that is not
-    UTF-8 raises FairchaseError.
+    Blank lines and lines starting with ``#`` are ignored, as is a leading
+    byte-order mark. Unknown keys and bad values raise FairchaseError naming
+    their line, and a file that is not UTF-8 raises FairchaseError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise FairchaseError(f"unreadable config file: not UTF-8 ({exc.reason})") from None

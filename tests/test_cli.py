@@ -534,6 +534,15 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == "error: unreadable config file: not UTF-8 (invalid start byte)\n"
 
+    def test_byte_order_mark_is_skipped(self, cli, tmp_path):
+        """A config file saved with a leading byte-order mark reads as the match CSV does."""
+        golden = ROOT / "tests" / "golden"
+        cfg = tmp_path / "app.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + f"data = {golden / 'matches.csv'}\n".encode("utf-8"))
+        code, out, err = cli("summary", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (golden / "summary.csv").read_bytes()
+
     def test_bad_value_names_its_line(self, cli, data_csv, tmp_path):
         cfg = tmp_path / "app.cfg"
         cfg.write_text(f"data = {data_csv}\nseed = abc\n")
