@@ -107,6 +107,23 @@ class TestSummary:
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (ROOT / "tests" / "golden" / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ("--format", "csv"),
+                "venue,total_matches,pct_bat_first_win,avg_bat_first_win,avg_bat_second_lose,"
+                "pct_bat_second_win,avg_bat_second_win,avg_bat_first_lose\n",
+            ),
+            (("--format", "json"), "[]\n"),
+        ],
+    )
+    def test_empty_dataset_bytes(self, cli, tmp_path, flags, expected):
+        """A header-only CSV summarizes to the bare header, or to an empty JSON list."""
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(fairchase.CSV_HEADER) + "\n", encoding="utf-8")
+        assert cli("summary", "--data", str(path), *flags) == (0, expected, "")
+
     def test_unknown_venue_exits_2(self, cli, data_csv):
         code, _, err = cli("summary", "--data", data_csv, "--venues", "Atlantis")
         assert code == 2
