@@ -9,7 +9,6 @@ regime error, 4 validation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -38,6 +37,7 @@ from .matches import (
     CategorizedScores,
     MatchRecord,
     categorize,
+    csv_text,
     parse_matches,
     select_venues,
     serialize_matches,
@@ -232,13 +232,9 @@ def _cmd_revise(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
     cell = revise_target(model, args.target)
     columns = CELL_COLUMNS[:-1]  # a revised target's status is always "ok"
     if config.format == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([columns, cell_to_row(cell)[:-1]])
-        text = out.getvalue()
-    else:
-        values = cell_to_dict(cell)
-        text = json.dumps({key: values[key] for key in columns}, indent=2)
-    return text, 0
+        return csv_text([columns, cell_to_row(cell)[:-1]]), 0
+    values = cell_to_dict(cell)
+    return json.dumps({key: values[key] for key in columns}, indent=2), 0
 
 
 def _cmd_report(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:

@@ -217,24 +217,35 @@ def _parse_runs(label: str, text: str) -> int:
 
 def serialize_matches(records: Iterable[MatchRecord]) -> str:
     """CSV text that parse_matches reads back into an identical record list."""
+    rows = [
+        [
+            rec.match_id, rec.venue, rec.date.isoformat() if rec.date else "", rec.first_innings_runs,
+            rec.second_innings_runs, rec.outcome.value, "true" if rec.reduced_overs else "false",
+        ]
+        for rec in records
+    ]
+    return csv_text([CSV_HEADER, *rows])
+
+
+def csv_text(rows: Sequence[Iterable]) -> str:
+    """Every CSV table fairchase writes: a line ending in "\\n" per row, and a
+    row holding a "\\r" in a string field quoted whole."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    # csv quotes only the line terminator's "\n", so a row holding a "\r" is quoted whole
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        (quoted if "\r" in rec.match_id + rec.venue else writer).writerow(
-            [
-                rec.match_id,
-                rec.venue,
-                rec.date.isoformat() if rec.date else "",
-                rec.first_innings_runs,
-                rec.second_innings_runs,
-                rec.outcome.value,
-                "true" if rec.reduced_overs else "false",
-            ]
-        )
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    if "\r" in out.getvalue():
+        # csv quotes only the line terminator's "\n" (3.13 also a "\r" field on
+        # its own), so on every Python a row holding a "\r" is quoted whole
+        out = io.StringIO()
+        plain = csv.writer(out, lineterminator="\n")
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if any(isinstance(v, str) and "\r" in v for v in row) else plain).writerow(row)
     return out.getvalue()
+
+
+def csv_fields(values: Iterable, digits: int) -> list:
+    """A table's CSV fields: "" for None, a float to digits decimals, anything else as it is."""
+    return ["" if v is None else f"{v:.{digits}f}" if isinstance(v, float) else v for v in values]
 
 
 def categorize(records: Sequence[MatchRecord]) -> dict[str, dict[CaseLabel, tuple[int, ...]]]:
@@ -372,15 +383,7 @@ def _display_row(row: SummaryRow) -> dict:
 
 
 def summary_to_csv(rows: Sequence[SummaryRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_display_row(rows[0]).keys() if rows else SummaryRow.__dataclass_fields__)
-    for row in rows:
-        display = _display_row(row)
-        writer.writerow(
-            ["" if v is None else f"{v:.1f}" if isinstance(v, float) else v for v in display.values()]
-        )
-    return out.getvalue()
+    return csv_text([SummaryRow.__dataclass_fields__, *(csv_fields(_display_row(r).values(), 1) for r in rows)])
 
 
 def summary_to_json(rows: Sequence[SummaryRow]) -> str:

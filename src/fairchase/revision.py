@@ -18,8 +18,6 @@ TargetUnattainable is raised.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ from .distributions import (
     survival,
 )
 from .errors import FairchaseError, InsufficientSample, TargetUnattainable
-from .matches import CaseLabel, CategorizedScores, resolve_venue, venue_names
+from .matches import CaseLabel, CategorizedScores, csv_fields, csv_text, resolve_venue, venue_names
 
 DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
 
@@ -95,11 +93,7 @@ def cell_to_dict(cell: TargetCell) -> dict:
 
 def cell_to_row(cell: TargetCell) -> list:
     """CSV fields of a cell in CELL_COLUMNS order: "" for None, q_internal to six decimals."""
-    revised, q = cell.revised, cell.q_internal
-    return [
-        cell.venue, cell.family.value, cell.actual,
-        "" if revised is None else revised, "" if q is None else f"{q:.6f}", cell.status,
-    ]
+    return csv_fields(cell_to_dict(cell).values(), 6)
 
 
 def build_model(
@@ -241,14 +235,9 @@ def bias_totals(report: RevisionReport) -> list[tuple[str, Family, int | None, s
 
 
 def report_to_csv(report: RevisionReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CELL_COLUMNS)
-    writer.writerows(map(cell_to_row, report.cells))
-    writer.writerow([])
-    writer.writerow(["venue", "family", "bias_total", "status"])
-    writer.writerows([v, f.value, "" if t is None else t, s] for v, f, t, s in bias_totals(report))
-    return out.getvalue()
+    totals = [csv_fields((v, f.value, t, s), 6) for v, f, t, s in bias_totals(report)]
+    cells = map(cell_to_row, report.cells)
+    return csv_text([CELL_COLUMNS, *cells, [], ["venue", "family", "bias_total", "status"], *totals])
 
 
 def report_to_json(report: RevisionReport) -> str:

@@ -153,6 +153,42 @@ class TestVenueSelection:
         assert code == 0 and out.splitlines()[-1] == "validate: 7 checks, 0 failures"
 
 
+class TestCarriageReturnVenue:
+    """csv quotes only the line terminator's "\\n" (before Python 3.13), so every
+    CSV table quotes a row holding a "\\r" whole, and leaves every other row's bytes."""
+
+    VENUE = "Auck\rland"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("summary",),
+            ("revise", "--venue", "Auckland", "--target", "330", "--family", "nb"),
+            ("report", "--family", "nb"),
+        ],
+        ids=["summary", "revise", "report"],
+    )
+    def test_row_reads_back_at_full_width(self, cli, tmp_path, argv):
+        data = tmp_path / "cr.csv"
+        text = Path(TestVenueSelection.GOLDEN_DATA).read_text(encoding="utf-8")
+        data.write_bytes(text.replace(",Auckland,", f',"{self.VENUE}",').encode())
+        code, before, _ = cli(*argv, "--data", TestVenueSelection.GOLDEN_DATA)
+        renamed = [self.VENUE if arg == "Auckland" else arg for arg in argv]
+        code_cr, after, err = cli(*renamed, "--data", str(data))
+        assert (code, code_cr, err) == (0, 0, "")
+
+        for table in after.split("\n\n"):
+            header, *rows = csv.reader(io.StringIO(table, newline=""))
+            assert rows and all(len(row) == len(header) for row in rows), table
+        expected = [
+            ",".join(f'"{field}"' for field in [self.VENUE, *line.split(",")[1:]])
+            if line.startswith("Auckland,") else line
+            for line in before.split("\n")
+        ]
+        assert after.split("\n") == expected
+        assert expected != before.split("\n")
+
+
 class TestFit:
     def test_emits_json_fits(self, cli, data_csv):
         code, out, _ = cli("fit", "--data", data_csv, "--venues", "venue01")
