@@ -624,5 +624,12 @@ def fitted_to_json(entries: Sequence[tuple[str, str, FittedDist]]) -> str:
 
 
 def fitted_from_json(text: str) -> list[tuple[str, str, FittedDist]]:
-    return [fitted_from_dict(doc) for doc in json.loads(text)]
+    """Inverse of fitted_to_json; InvalidParams for text that is not a JSON array of fit documents."""
+    try:
+        docs = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParams(f"malformed fitted-distribution JSON: {exc}") from exc
+    if not isinstance(docs, list):
+        raise InvalidParams(f"malformed fitted-distribution JSON: expected an array, got {type(docs).__name__}")
+    return [fitted_from_dict(doc) for doc in docs]
 

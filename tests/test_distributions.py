@@ -820,6 +820,21 @@ class TestSerialization:
         with pytest.raises(InvalidParams, match="malformed fitted-distribution document"):
             fitted_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("not json", "Expecting value"),
+            ("5", "expected an array, got int"),
+            ("null", "expected an array, got NoneType"),
+            ('{"a": 1}', "expected an array, got dict"),
+            ("[" * 100_000, "recursion"),
+        ],
+        ids=["not-json", "number", "null", "object", "nested-too-deep"],
+    )
+    def test_text_not_a_json_array_rejected(self, text, detail):
+        with pytest.raises(InvalidParams, match=f"^malformed fitted-distribution JSON: .*{detail}"):
+            fitted_from_json(text)
+
     def test_well_typed_fields_load(self):
         doc = fitted_to_dict(FittedDist.negbin(8.0, 0.04), "Sydney", "BatFirstWin")
         doc.update(sample_size=12, log_likelihood=-3, degenerate_flag=True)
