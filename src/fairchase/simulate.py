@@ -70,7 +70,7 @@ def _estimate(draws: np.ndarray, threshold: int, trials: int) -> tuple[float, fl
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, seed: int) -> SimResult:
+def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, seed: Seed) -> SimResult:
     """Estimate both sides of the equalization identity by simulation.
 
     Draws n_trials scores from each winning-score distribution on
