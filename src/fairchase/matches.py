@@ -233,8 +233,8 @@ def csv_text(rows: Sequence[Iterable]) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     if "\r" in out.getvalue():
-        # csv quotes only the line terminator's "\n" (3.13 also a "\r" field on
-        # its own), so on every Python a row holding a "\r" is quoted whole
+        # before 3.13 csv quotes only the line terminator's "\n", and 3.13 a "\r"
+        # field alone; so on every Python a row holding a "\r" is quoted whole
         out = io.StringIO()
         plain = csv.writer(out, lineterminator="\n")
         quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
