@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     DuplicateMatchId,
@@ -217,29 +217,26 @@ def _parse_runs(label: str, text: str) -> int:
 
 def serialize_matches(records: Iterable[MatchRecord]) -> str:
     """CSV text that parse_matches reads back into an identical record list."""
-    rows = [
+    rows = (
         [
             rec.match_id, rec.venue, rec.date.isoformat() if rec.date else "", rec.first_innings_runs,
             rec.second_innings_runs, rec.outcome.value, "true" if rec.reduced_overs else "false",
         ]
         for rec in records
-    ]
+    )
     return csv_text([CSV_HEADER, *rows])
 
 
-def csv_text(rows: Sequence[Iterable]) -> str:
+def csv_text(rows: Iterable[Collection]) -> str:
     """Every CSV table fairchase writes: a line ending in "\\n" per row, and a
     row holding a "\\r" in a string field quoted whole."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    if "\r" in out.getvalue():
-        # before 3.13 csv quotes only the line terminator's "\n", and 3.13 a "\r"
-        # field alone; so on every Python a row holding a "\r" is quoted whole
-        out = io.StringIO()
-        plain = csv.writer(out, lineterminator="\n")
-        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in rows:
-            (quoted if any(isinstance(v, str) and "\r" in v for v in row) else plain).writerow(row)
+    plain = csv.writer(out, lineterminator="\n")
+    # before 3.13 csv quotes only the line terminator's "\n", and 3.13 a "\r"
+    # field alone; so on every Python a row holding a "\r" is quoted whole
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any(isinstance(v, str) and "\r" in v for v in row) else plain).writerow(row)
     return out.getvalue()
 
 
