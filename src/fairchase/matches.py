@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import IO, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -224,7 +225,7 @@ def serialize_matches(records: Iterable[MatchRecord]) -> str:
         ]
         for rec in records
     )
-    return csv_text([CSV_HEADER, *rows])
+    return csv_text(chain([CSV_HEADER], rows))
 
 
 def csv_text(rows: Iterable[Collection]) -> str:
