@@ -13,10 +13,11 @@ import pickle
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fairchase.distributions as distributions
@@ -33,6 +34,7 @@ from fairchase import (
     NormalParams,
     UnderdispersedSample,
     ZeroVariance,
+    categorize,
     cdf,
     fit,
     fit_logistic,
@@ -42,6 +44,7 @@ from fairchase import (
     fitted_from_json,
     fitted_to_dict,
     fitted_to_json,
+    parse_matches,
     pmf,
     quantile,
     sample_scores,
@@ -50,6 +53,8 @@ from fairchase import (
 from fairchase.revision import pmf_mass
 
 SMALL = FitConfig(min_sample_size=2)
+
+GOLDEN_MATCHES = Path(__file__).resolve().parent / "golden" / "matches.csv"
 
 GEOMETRIC = FittedDist.negbin(1.0, 0.5)
 
@@ -705,6 +710,109 @@ class TestFitNb:
         if fitted.degenerate:
             return
         assert fitted.params.mean == pytest.approx(sample_mean, rel=1e-6)
+
+
+def _reference_loglik(n, tails, size, xbar):
+    """The profile log-likelihood as fit_nb computed it in 0.17.0, one array expression per call."""
+    n = np.asarray(n, dtype=float)
+    j = np.arange(tails.size, dtype=float)
+    spread = np.log1p((j - xbar) / (n[..., None] + xbar)) @ tails
+    return spread - tails @ np.log1p(j) - size * n * np.log1p(xbar / n) + size * xbar * math.log(xbar)
+
+
+def _reference_score(n, tails, size, xbar):
+    j = np.arange(tails.size, dtype=float)
+    return float(tails @ (1.0 / (n + j))) - size * math.log1p(xbar / n)
+
+
+def _reference_refine(lo, hi, tails, size, xbar, tol):
+    """False position on log(n) with a bisection safeguard, as in 0.17.0."""
+
+    def score(t):
+        return _reference_score(math.exp(t), tails, size, xbar)
+
+    lo, hi = math.log(lo), math.log(hi)
+    f_lo, f_hi = score(lo), score(hi)
+    if f_lo <= 0.0:
+        return math.exp(lo)
+    if f_hi >= 0.0:
+        return math.exp(hi)
+    halve = False
+    while hi - lo > tol:
+        width = hi - lo
+        t = hi - f_hi * width / (f_hi - f_lo)
+        if halve or not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f = score(t)
+        if f > 0.0:
+            lo, f_lo = t, f
+        elif f < 0.0:
+            hi, f_hi = t, f
+        else:
+            return math.exp(t)
+        halve = hi - lo > 0.5 * width
+    return math.exp(0.5 * (lo + hi))
+
+
+def reference_fit_nb(scores):
+    """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb, for an overdispersed sample."""
+    xs = np.asarray(scores, dtype=float)
+    tails = distributions._tail_counts(xs)
+    size, xbar = int(xs.size), float(xs.mean())
+    grid = np.exp(np.linspace(math.log(distributions._N_LOWER), math.log(distributions._N_UPPER), 64))
+    step = max(1, (1 << 20) // tails.size)
+    values = np.concatenate(
+        [_reference_loglik(grid[k : k + step], tails, size, xbar) for k in range(0, grid.size, step)]
+    )
+    best = float(values.max())
+    flat = values >= best - 1e-9 * max(1.0, abs(best))
+    i = int(np.nonzero(flat)[0][0])
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    n_hat = _reference_refine(lo, hi, tails, size, xbar, distributions._N_REL_TOL)
+    ll = float(_reference_loglik(n_hat, tails, size, xbar))
+    if ll < best:
+        n_hat = float(grid[i])
+        ll = float(_reference_loglik(n_hat, tails, size, xbar))
+    return n_hat, n_hat / (n_hat + xbar), ll, bool(flat[-1]) or n_hat >= 0.999 * distributions._N_UPPER
+
+
+def _golden_cases() -> list:
+    dataset = categorize(parse_matches(GOLDEN_MATCHES))
+    return [
+        pytest.param(scores, id=f"{venue}-{label.value}")
+        for venue, cases in dataset.items()
+        for label, scores in cases.items()
+    ]
+
+
+def _assert_fit_bits(scores):
+    fitted = fit_nb(scores, SMALL)
+    got = (fitted.params.n, fitted.params.p, fitted.log_likelihood, fitted.degenerate)
+    assert got == reference_fit_nb(scores)
+
+
+class TestFitNbBits:
+    """fit_nb's n, p, log-likelihood and degenerate flag are held, bit for bit,
+    to a copy of the 0.17.0 computation: a change to how the fit evaluates
+    its likelihood and score may save time but may not move a bit."""
+
+    @pytest.mark.parametrize("scores", _golden_cases())
+    def test_every_golden_case(self, scores):
+        xs = np.asarray(scores, dtype=float)
+        if xs.size < 2 or xs.var(ddof=1) <= xs.mean():
+            with pytest.raises(FairchaseError):
+                fit_nb(scores, SMALL)
+        else:
+            _assert_fit_bits(scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=450), min_size=2, max_size=120))
+    @example([0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0, 5, 2])
+    @example([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2000])
+    def test_overdispersed_samples(self, scores):
+        xs = np.asarray(scores, dtype=float)
+        assume(xs.var(ddof=1) > xs.mean())
+        _assert_fit_bits(scores)
 
 
 class TestMomentFits:
