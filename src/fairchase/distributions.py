@@ -43,6 +43,8 @@ DEFAULT_MIN_SAMPLE_SIZE = 10
 _N_LOWER = 1e-3
 _N_UPPER = 1e6
 _N_REL_TOL = 1e-8
+#: The coarse log-grid over [_N_LOWER, _N_UPPER] that fit_nb scans before refining.
+_N_GRID = np.exp(np.linspace(math.log(_N_LOWER), math.log(_N_UPPER), 64))
 
 _STANDARD_NORMAL = statistics.NormalDist()
 _SQRT2 = math.sqrt(2.0)
@@ -437,29 +439,40 @@ def _tail_counts(xs: np.ndarray) -> np.ndarray:
     return (xs.size - np.cumsum(np.bincount(ints))[:-1]).astype(float)
 
 
-def _nb_profile_loglik(
-    n: float | np.ndarray, tails: np.ndarray, size: int, xbar: float
-) -> np.ndarray:
-    """Log-likelihood at each dispersion in n, with p profiled out at n / (n + mean).
+class _NbProfile:
+    """One sample's profile log-likelihood and score in the dispersion n, with
+    p profiled out at n / (n + mean).
 
     Sum_i log Gamma(x_i + n) / Gamma(n) telescopes into Sum_j A_j log(n + j)
     (Bliss & Fisher 1953), and Sum_i log x_i! into Sum_j A_j log(j + 1).
     Since Sum_j A_j = Sum_i x_i, each log(n + j) is taken relative to
-    n + mean, which keeps the large parts of the sum from cancelling.
+    n + mean, which keeps the large parts of the sum from cancelling. What
+    depends on the sample alone is built once per fit, with a scratch row the
+    score evaluates into, so one profile serves one fit at a time.
     """
-    n = np.asarray(n, dtype=float)
-    j = np.arange(tails.size, dtype=float)
-    spread = np.log1p((j - xbar) / (n[..., None] + xbar)) @ tails
-    return spread - tails @ np.log1p(j) - size * n * np.log1p(xbar / n) + size * xbar * math.log(xbar)
+
+    def __init__(self, tails: np.ndarray, size: int, xbar: float):
+        self.tails, self.size, self.xbar = tails, size, xbar
+        self.j = np.arange(tails.size, dtype=float)
+        self.offsets = self.j - xbar
+        self.log_factorials = tails @ np.log1p(self.j)
+        self.row = np.empty(tails.size)
+
+    def loglik(self, n: float | np.ndarray) -> np.ndarray:
+        """Log-likelihood at each dispersion in n."""
+        n = np.asarray(n, dtype=float)
+        ratios = self.offsets / (n[..., None] + self.xbar)
+        spread = np.log1p(ratios, out=ratios) @ self.tails
+        size, xbar = self.size, self.xbar
+        return spread - self.log_factorials - size * n * np.log1p(xbar / n) + size * xbar * math.log(xbar)
+
+    def score(self, n: float) -> float:
+        """Derivative in n of the log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
+        row = np.divide(1.0, np.add(n, self.j, out=self.row), out=self.row)
+        return float(self.tails @ row) - self.size * math.log1p(self.xbar / n)
 
 
-def _nb_profile_score(n: float, tails: np.ndarray, size: int, xbar: float) -> float:
-    """Derivative in n of the profile log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
-    j = np.arange(tails.size, dtype=float)
-    return float(tails @ (1.0 / (n + j))) - size * math.log1p(xbar / n)
-
-
-def _nb_refine(lo: float, hi: float, tails: np.ndarray, size: int, xbar: float, tol: float) -> float:
+def _nb_refine(lo: float, hi: float, profile: _NbProfile, tol: float) -> float:
     """Profile-likelihood maximizer over [lo, hi], to tol in log(n).
 
     On an overdispersed sample the score has a single root (Aragon, Eberly &
@@ -470,7 +483,7 @@ def _nb_refine(lo: float, hi: float, tails: np.ndarray, size: int, xbar: float, 
     """
 
     def score(t: float) -> float:
-        return _nb_profile_score(math.exp(t), tails, size, xbar)
+        return profile.score(math.exp(t))
 
     lo, hi = math.log(lo), math.log(hi)
     f_lo, f_hi = score(lo), score(hi)
@@ -517,28 +530,20 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
             "the count model cannot represent this sample"
         )
 
-    grid = np.exp(np.linspace(math.log(_N_LOWER), math.log(_N_UPPER), 64))
+    profile = _NbProfile(tails, size, xbar)
     # rows per product, so the grid-by-score matrix stays near 8 MB
     step = max(1, (1 << 20) // tails.size)
-    values = np.concatenate(
-        [_nb_profile_loglik(grid[k : k + step], tails, size, xbar) for k in range(0, grid.size, step)]
-    )
+    values = np.concatenate([profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)])
     best = float(values.max())
     flat = values >= best - 1e-9 * max(1.0, abs(best))
     i = int(np.nonzero(flat)[0][0])  # smallest n among ties
 
-    n_hat = _nb_refine(
-        float(grid[max(i - 1, 0)]),
-        float(grid[min(i + 1, grid.size - 1)]),
-        tails,
-        size,
-        xbar,
-        _N_REL_TOL,
-    )
-    ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
+    lo, hi = float(_N_GRID[max(i - 1, 0)]), float(_N_GRID[min(i + 1, _N_GRID.size - 1)])
+    n_hat = _nb_refine(lo, hi, profile, _N_REL_TOL)
+    ll = float(profile.loglik(n_hat))
     if ll < best:
-        n_hat = float(grid[i])
-        ll = float(_nb_profile_loglik(n_hat, tails, size, xbar))
+        n_hat = float(_N_GRID[i])
+        ll = float(profile.loglik(n_hat))
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
     degenerate = bool(flat[-1]) or n_hat >= 0.999 * _N_UPPER

@@ -644,7 +644,7 @@ class TestFitNb:
     def test_refine_without_a_root_returns_the_end_the_score_points_to(self):
         scores = seeded_nb_sample(8.0, 0.04, 500)
         xs = np.asarray(scores)
-        search = (distributions._tail_counts(xs), int(xs.size), float(xs.mean()), 1e-8)
+        search = (distributions._NbProfile(distributions._tail_counts(xs), int(xs.size), float(xs.mean())), 1e-8)
         root = fit_nb(scores).params.n
         # the score is positive below its root and negative above it
         assert distributions._nb_refine(root / 100, root / 10, *search) == pytest.approx(root / 10, rel=1e-12)
