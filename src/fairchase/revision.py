@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -152,8 +152,8 @@ _PMF_BLOCK = 1 << 16
 def pmf_mass(dist: FittedDist, last: int) -> float:
     """Exactly rounded sum of the pmf over scores 0..last."""
     end = last + 1
-    blocks = (pmf(dist, np.arange(lo, min(lo + _PMF_BLOCK, end))) for lo in range(0, end, _PMF_BLOCK))
-    return math.fsum(v for block in blocks for v in block.tolist())
+    blocks = (pmf(dist, np.arange(lo, min(lo + _PMF_BLOCK, end))).tolist() for lo in range(0, end, _PMF_BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
 
 
 def survival_rise(dist: FittedDist, last: int) -> float:
