@@ -8,6 +8,7 @@ typos fail loudly instead of silently using a default.
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -98,7 +99,14 @@ def parse_target_grid(text: str) -> tuple[int, ...]:
 
 
 def parse_venue_list(text: str) -> tuple[str, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    """Comma-separated venues. Text holding a double quote is read as one CSV
+    record, so a quoted venue may hold commas; other text is split on commas,
+    so an unquoted venue may hold a line break, which csv would reject."""
+    try:
+        items = next(csv.reader([text], skipinitialspace=True, strict=True), []) if '"' in text else text.split(",")
+    except csv.Error as exc:
+        raise FairchaseError(f"venues must be one CSV record: {exc}") from None
+    parts = [p.strip() for p in items if p.strip()]
     if not parts:
         raise FairchaseError("venues must list at least one venue")
     return tuple(parts)

@@ -22,7 +22,7 @@ import pytest
 import fairchase
 from fairchase import parse_matches, serialize_matches
 from fairchase.cli import _build_parser, _resolve_config, main
-from fairchase.config import SETTINGS, AppConfig
+from fairchase.config import SETTINGS, AppConfig, parse_venue_list
 
 ROOT = Path(__file__).resolve().parent.parent
 CAP_WARNING = "quantile at probability 1 is unbounded; returning cap 2000"
@@ -151,6 +151,51 @@ class TestVenueSelection:
         assert code == 0 and len(json.loads(out)) == 4
         code, out, _ = cli("validate", "--data", self.GOLDEN_DATA, "--venues", "Auckland,auckland")
         assert code == 0 and out.splitlines()[-1] == "validate: 7 checks, 0 failures"
+
+    COMMA_VENUE = "Port of Spain, QP"
+
+    def _summary_venues(self, out: str) -> list[str]:
+        return [row[0] for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+    def test_quoted_flag_item_may_hold_a_comma(self, cli, data_csv, tmp_path):
+        data = _renamed_venues(data_csv, tmp_path, {"venue01": self.COMMA_VENUE})
+        code, out, err = cli("summary", "--data", data, "--venues", f'"{self.COMMA_VENUE}"')
+        assert (code, err) == (0, "")
+        assert self._summary_venues(out) == [self.COMMA_VENUE]
+
+    def test_quoted_config_item_may_hold_a_comma(self, cli, data_csv, tmp_path):
+        data = _renamed_venues(data_csv, tmp_path, {"venue01": self.COMMA_VENUE})
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f'data = {data}\nvenues = venue02, "{self.COMMA_VENUE}"\n', encoding="utf-8")
+        code, out, err = cli("summary", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert self._summary_venues(out) == [self.COMMA_VENUE, "venue02"]
+
+    @pytest.mark.parametrize(
+        "text, venues",
+        [
+            (" a , b,,c ", ("a", "b", "c")),
+            ('O"Brien, x', ('O"Brien', "x")),
+            ("Auck\rland,Auck\nland", ("Auck\rland", "Auck\nland")),
+            ('"a, b", c', ("a, b", "c")),
+            ('"say ""hi""",, ""', ('say "hi"',)),
+            ('"Auck\nland", "Auck\rland"', ("Auck\nland", "Auck\rland")),
+        ],
+    )
+    def test_venue_list_is_one_csv_record(self, text, venues):
+        assert parse_venue_list(text) == venues
+
+    @pytest.mark.parametrize("text", ['"venue01', '"venue01" x', '"a, b" , c', '"a", b\nc'])
+    def test_malformed_quoted_flag_exits_2(self, data_csv, capsys, text):
+        assert _exit_code(["summary", "--data", data_csv, "--venues", text]) == 2
+        assert "error: argument --venues: venues must be one CSV record: " in capsys.readouterr().err
+
+    def test_malformed_quoted_config_value_names_its_line(self, cli, data_csv, tmp_path):
+        cfg = tmp_path / "app.cfg"
+        cfg.write_text(f'data = {data_csv}\nvenues = "venue01\n', encoding="utf-8")
+        code, out, err = cli("summary", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: config line 2: venues must be one CSV record: unexpected end of data\n"
 
 
 class TestCarriageReturnVenue:
