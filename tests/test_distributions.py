@@ -814,6 +814,32 @@ class TestFitNbBits:
         assume(xs.var(ddof=1) > xs.mean())
         _assert_fit_bits(scores)
 
+    def test_concurrent_fits_share_no_scratch(self):
+        """Each fit evaluates its score in a row of its own, so threads fitting
+        samples of one length at once get the bits of a fit run alone."""
+        samples = [seeded_nb_sample(8.0, 0.04, 40, seed)[:-1] + [3000] for seed in range(12)]
+        assert {max(s) for s in samples} == {3000}  # one length of tail counts, so one row size
+        alone = [fit_nb(s) for s in samples]
+        orders = {i: [(i + step) % len(samples) for step in range(3 * len(samples))] for i in range(8)}
+        results: dict[int, list[FittedDist]] = {}
+
+        def worker(index: int) -> None:
+            results[index] = [fit_nb(samples[k]) for k in orders[index]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(results[i] == [alone[k] for k in order] for i, order in orders.items())
+
 
 class TestMomentFits:
     def test_normal_two_point_sample(self):
