@@ -456,6 +456,7 @@ class _NbProfile:
         self.j = np.arange(tails.size, dtype=float)
         self.offsets = self.j - xbar
         self.log_factorials = tails @ np.log1p(self.j)
+        self.mean_term = size * xbar * math.log(xbar)
         self.row = np.empty(tails.size)
 
     def loglik(self, n: float | np.ndarray) -> np.ndarray:
@@ -463,8 +464,7 @@ class _NbProfile:
         n = np.asarray(n, dtype=float)
         ratios = self.offsets / (n[..., None] + self.xbar)
         spread = np.log1p(ratios, out=ratios) @ self.tails
-        size, xbar = self.size, self.xbar
-        return spread - self.log_factorials - size * n * np.log1p(xbar / n) + size * xbar * math.log(xbar)
+        return spread - self.log_factorials - self.size * n * np.log1p(self.xbar / n) + self.mean_term
 
     def score(self, n: float) -> float:
         """Derivative in n of the log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
