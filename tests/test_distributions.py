@@ -754,7 +754,7 @@ def _reference_refine(lo, hi, tails, size, xbar, tol):
     return math.exp(0.5 * (lo + hi))
 
 
-def reference_fit_nb(scores):
+def _reference_fit_nb(scores):
     """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb, for an overdispersed sample."""
     xs = np.asarray(scores, dtype=float)
     tails = distributions._tail_counts(xs)
@@ -788,7 +788,7 @@ def _golden_cases() -> list:
 def _assert_fit_bits(scores):
     fitted = fit_nb(scores, SMALL)
     got = (fitted.params.n, fitted.params.p, fitted.log_likelihood, fitted.degenerate)
-    assert got == reference_fit_nb(scores)
+    assert got == _reference_fit_nb(scores)
 
 
 class TestFitNbBits:
