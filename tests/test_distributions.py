@@ -755,10 +755,14 @@ def _reference_refine(lo, hi, tails, size, xbar, tol):
 
 
 def _reference_fit_nb(scores):
-    """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb, for an overdispersed sample."""
+    """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb, or None for a
+    sample whose variance does not exceed its mean. Tail counts, mean and
+    variance are computed here as 0.17.0 computed them, not by the library."""
     xs = np.asarray(scores, dtype=float)
-    tails = distributions._tail_counts(xs)
-    size, xbar = int(xs.size), float(xs.mean())
+    tails = (xs.size - np.cumsum(np.bincount(xs.astype(np.int64)))[:-1]).astype(float)
+    size, xbar, var = int(xs.size), float(xs.mean()), float(xs.var(ddof=1))
+    if var <= xbar:
+        return None
     grid = np.exp(np.linspace(math.log(distributions._N_LOWER), math.log(distributions._N_UPPER), 64))
     step = max(1, (1 << 20) // tails.size)
     values = np.concatenate(
@@ -785,22 +789,40 @@ def _golden_cases() -> list:
     ]
 
 
+#: Every container the library takes a sample in, each holding the same scores.
+SAMPLE_CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "int64": lambda scores: np.array(scores, dtype=np.int64),
+    "int32": lambda scores: np.array(scores, dtype=np.int32),
+    "integral floats": lambda scores: [float(x) for x in scores],
+    "float64": lambda scores: np.array(scores, dtype=np.float64),
+}
+
+
 def _assert_fit_bits(scores):
-    fitted = fit_nb(scores, SMALL)
-    got = (fitted.params.n, fitted.params.p, fitted.log_likelihood, fitted.degenerate)
-    assert got == _reference_fit_nb(scores)
+    expected = _reference_fit_nb(scores)
+    for name, container in SAMPLE_CONTAINERS.items():
+        if expected is None:
+            with pytest.raises(UnderdispersedSample):
+                fit_nb(container(scores), SMALL)
+            continue
+        fitted = fit_nb(container(scores), SMALL)
+        got = (fitted.params.n, fitted.params.p, fitted.log_likelihood, fitted.degenerate)
+        assert got == expected, name
 
 
 class TestFitNbBits:
     """fit_nb's n, p, log-likelihood and degenerate flag are held, bit for bit,
-    to a copy of the 0.17.0 computation: a change to how the fit evaluates
-    its likelihood and score may save time but may not move a bit."""
+    to a copy of the 0.17.0 computation from its tail counts, mean and
+    variance on, for a sample in every container the library accepts: a
+    change to how the fit reads its sample or evaluates its likelihood and
+    score may save time but may not move a bit."""
 
     @pytest.mark.parametrize("scores", _golden_cases())
     def test_every_golden_case(self, scores):
-        xs = np.asarray(scores, dtype=float)
-        if xs.size < 2 or xs.var(ddof=1) <= xs.mean():
-            with pytest.raises(FairchaseError):
+        if len(scores) < 2:
+            with pytest.raises(InsufficientSample):
                 fit_nb(scores, SMALL)
         else:
             _assert_fit_bits(scores)
@@ -876,6 +898,49 @@ class TestMomentFits:
         assert fit(scores, Family.NEGBIN).family is Family.NEGBIN
         assert fit(scores, Family.NORMAL).family is Family.NORMAL
         assert fit(scores, Family.LOGISTIC).family is Family.LOGISTIC
+
+
+#: Ten valid scores, overdispersed, that a rejected score is put in front of.
+VALID_SCORES = [180, 210, 240, 150, 300, 95, 260, 205, 330, 120]
+
+
+def _rejection(fitter, scores) -> tuple[type, str]:
+    """The type and message of the error fitter raises on scores."""
+    with pytest.raises(FairchaseError) as caught:
+        fitter(scores)
+    return caught.type, str(caught.value)
+
+
+class TestFitRejections:
+    """The exception type and message of every finite sample a fit rejects."""
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    def test_too_few_scores(self, fitter):
+        assert _rejection(fitter, [180, 210, 240]) == (InsufficientSample, "need at least 10 scores, got 3")
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    def test_negative_score(self, fitter):
+        assert _rejection(fitter, [-1] + VALID_SCORES) == (InvalidParams, "scores must be non-negative")
+
+    @pytest.mark.parametrize("fitter, name", [(fit_normal, "normal"), (fit_logistic, "logistic")])
+    def test_identical_scores(self, fitter, name):
+        assert _rejection(fitter, [200] * 30) == (ZeroVariance, f"all scores identical; {name} fit undefined")
+
+    def test_fractional_count_model_score(self):
+        assert _rejection(fit_nb, [200.5] + VALID_SCORES) == (InvalidParams, "count-model scores must be integers")
+
+    @pytest.mark.parametrize(
+        "scores",
+        [[10_000_001] + VALID_SCORES, [2**70] + VALID_SCORES, np.array([2**64 - 1] + VALID_SCORES, dtype=np.uint64)],
+        ids=["past-the-count-range", "past-int64", "uint64-max"],
+    )
+    def test_count_model_score_too_large(self, scores):
+        message = "count-model scores above 10000000 are not supported"
+        assert _rejection(fit_nb, scores) == (InvalidParams, message)
+
+    def test_underdispersed_sample(self):
+        message = "sample variance 0.255 <= mean 200.500; the count model cannot represent this sample"
+        assert _rejection(fit_nb, [200, 201] * 25) == (UnderdispersedSample, message)
 
 
 class TestSerialization:
