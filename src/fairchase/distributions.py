@@ -416,27 +416,46 @@ def _quantile_array(dist: FittedDist, q: np.ndarray, cap: int) -> np.ndarray:
     return x
 
 
-def _as_score_array(scores: Sequence[int], config: FitConfig) -> np.ndarray:
-    xs = np.asarray(scores, dtype=float)
-    if xs.size < config.min_sample_size:
-        raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {xs.size}")
-    if xs.size and xs.min() < 0:
-        raise InvalidParams("scores must be non-negative")
-    return xs
-
-
 #: Largest score the count-model fit accepts: its tail-count arrays hold one
 #: entry per run up to the largest score.
 _MAX_COUNT_SCORE = 10_000_000
 
-def _tail_counts(xs: np.ndarray) -> np.ndarray:
-    """A[j] = #{i : x_i > j} for j = 0 .. max(x) - 1."""
-    if xs.max() > _MAX_COUNT_SCORE:
-        raise InvalidParams(f"count-model scores above {_MAX_COUNT_SCORE} are not supported")
-    ints = xs.astype(np.int64)
-    if not np.array_equal(ints, xs):
-        raise InvalidParams("count-model scores must be integers")
-    return (xs.size - np.cumsum(np.bincount(ints))[:-1]).astype(float)
+
+def _checked_sample(scores: Sequence[int], config: FitConfig, count: bool = False) -> tuple[np.ndarray, float, float]:
+    """The scores checked in one pass, with their mean and variance (N - 1).
+
+    There must be config.min_sample_size of them, non-negative and finite;
+    the count model (count=True) also needs integers up to _MAX_COUNT_SCORE,
+    and gets them as an int64 array. An integer array goes to the count
+    model as it is; every other sample is read as floats. Mean and variance
+    are the pairwise sums ndarray.mean and var take, so equal to theirs.
+    """
+    integral = count and (xs := np.asarray(scores)).dtype.kind in "iu"
+    if not integral:
+        xs = np.asarray(scores, dtype=float)
+    size = xs.size
+    if size < config.min_sample_size:
+        raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {size}")
+    if xs.min() < 0:
+        raise InvalidParams("scores must be non-negative")
+    top = xs.max()
+    if not (integral or math.isfinite(top)):  # a NaN passes the sign check and is the maximum
+        raise InvalidParams("scores must be finite")
+    if count:
+        if top > _MAX_COUNT_SCORE:
+            raise InvalidParams(f"count-model scores above {_MAX_COUNT_SCORE} are not supported")
+        ints = xs.astype(np.int64, copy=False)
+        if not (integral or np.array_equal(ints, xs)):
+            raise InvalidParams("count-model scores must be integers")
+        xs = ints  # an integer sum is exact, as a float sum of these scores is
+    mean = float(np.add.reduce(xs, axis=None)) / size
+    squares = np.square(xs - mean)
+    return xs, mean, float(np.add.reduce(squares, axis=None)) / (size - 1)
+
+
+def _tail_counts(ints: np.ndarray) -> np.ndarray:
+    """A[j] = #{i : x_i > j} for j = 0 .. max(x) - 1, from checked integer scores."""
+    return (ints.size - np.add.accumulate(np.bincount(ints))[:-1]).astype(float)
 
 
 class _NbProfile:
@@ -518,25 +537,24 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
     closed-form score then refines n between the grid neighbours. Scores
     must be integers.
     """
-    xs = _as_score_array(scores, config)
-    tails = _tail_counts(xs)
-    size = int(xs.size)
-    xbar = float(xs.mean())
-    var = float(xs.var(ddof=1))
-
+    ints, xbar, var = _checked_sample(scores, config, count=True)
     if var <= xbar:
         raise UnderdispersedSample(
             f"sample variance {var:.3f} <= mean {xbar:.3f}; "
             "the count model cannot represent this sample"
         )
 
-    profile = _NbProfile(tails, size, xbar)
+    size = int(ints.size)
+    profile = _NbProfile(_tail_counts(ints), size, xbar)
     # rows per product, so the grid-by-score matrix stays near 8 MB
-    step = max(1, (1 << 20) // tails.size)
-    values = np.concatenate([profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)])
+    step = max(1, (1 << 20) // profile.tails.size)
+    if step >= _N_GRID.size:
+        values = profile.loglik(_N_GRID)
+    else:
+        values = np.concatenate([profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)])
     best = float(values.max())
     flat = values >= best - 1e-9 * max(1.0, abs(best))
-    i = int(np.nonzero(flat)[0][0])  # smallest n among ties
+    i = int(flat.argmax())  # smallest n among ties
 
     lo, hi = float(_N_GRID[max(i - 1, 0)]), float(_N_GRID[min(i + 1, _N_GRID.size - 1)])
     n_hat = _nb_refine(lo, hi, profile, _N_REL_TOL)
@@ -552,11 +570,10 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
 
 def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
     """Moment fit: mu = sample mean, sigma = sample standard deviation (N-1)."""
-    xs = _as_score_array(scores, config)
-    var = float(xs.var(ddof=1))
+    xs, mean, var = _checked_sample(scores, config)
     if var == 0.0:
         raise ZeroVariance("all scores identical; normal fit undefined")
-    params = NormalParams(float(xs.mean()), math.sqrt(var))
+    params = NormalParams(mean, math.sqrt(var))
     z = (xs - params.mu) / params.sigma
     ll = float(-0.5 * np.sum(z**2) - xs.size * math.log(params.sigma * math.sqrt(2 * math.pi)))
     return FittedDist(params, int(xs.size), ll)
@@ -564,11 +581,10 @@ def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) ->
 
 def fit_logistic(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
     """Moment fit: mu = sample mean, s = sqrt(3 * variance) / pi."""
-    xs = _as_score_array(scores, config)
-    var = float(xs.var(ddof=1))
+    xs, mean, var = _checked_sample(scores, config)
     if var == 0.0:
         raise ZeroVariance("all scores identical; logistic fit undefined")
-    params = LogisticParams(float(xs.mean()), math.sqrt(3.0 * var) / math.pi)
+    params = LogisticParams(mean, math.sqrt(3.0 * var) / math.pi)
     z = (xs - params.mu) / params.s
     ll = float(np.sum(-z - 2.0 * np.logaddexp(0.0, -z)) - xs.size * math.log(params.s))
     return FittedDist(params, int(xs.size), ll)

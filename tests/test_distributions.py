@@ -943,6 +943,32 @@ class TestFitRejections:
         assert _rejection(fit_nb, [200, 201] * 25) == (UnderdispersedSample, message)
 
 
+class TestNonFiniteScores:
+    """A NaN, a None or an infinity among the scores is rejected as such by
+    every fit, with no numpy warning on the way."""
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            [math.nan] + VALID_SCORES,
+            [None] + VALID_SCORES,
+            VALID_SCORES + [math.inf],
+            np.array([math.nan] + VALID_SCORES),
+            [-1, math.nan] + VALID_SCORES,
+        ],
+        ids=["nan", "none", "inf", "nan-array", "negative-and-nan"],
+    )
+    def test_rejected_as_not_finite(self, fitter, sample):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _rejection(fitter, sample) == (InvalidParams, "scores must be finite")
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    def test_negative_infinity_is_a_negative_score(self, fitter):
+        assert _rejection(fitter, [-math.inf] + VALID_SCORES) == (InvalidParams, "scores must be non-negative")
+
+
 class TestSerialization:
     def entries(self):
         scores = seeded_nb_sample(8.0, 0.04, 100, seed=4)
