@@ -187,11 +187,10 @@ def _cmd_fit(args: argparse.Namespace, config: AppConfig) -> tuple[str, int]:
 
 def _curves_csv(fits: Mapping[CaseLabel, FittedDist], max_score: int) -> str:
     scores = np.arange(-1, max_score + 1)
-    columns = [survival(fits[label], scores).tolist() for label in CaseLabel]
-    row = "%d" + ",%.12g" * len(columns)
-    lines = ["score," + ",".join(label.name.lower() for label in CaseLabel)]
-    lines.extend(row % values for values in zip(scores.tolist(), *columns))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([scores, *(survival(fits[label], scores) for label in CaseLabel)])
+    header = "score," + ",".join(label.name.lower() for label in CaseLabel) + "\n"
+    row = "%d" + ",%.12g" * len(CaseLabel) + "\n"  # %d prints a float score as the integer it holds
+    return header + (row * scores.size) % tuple(table.ravel().tolist())
 
 
 def _cmd_curves(args: argparse.Namespace, config: AppConfig) -> tuple[None, int]:
