@@ -422,20 +422,13 @@ _MAX_COUNT_SCORE = 10_000_000
 
 
 def _checked_sample(scores: Sequence[int], config: FitConfig, count: bool = False) -> tuple[np.ndarray, float, float]:
-    """The scores checked in one pass, with their mean and variance (N - 1).
-
-    There must be config.min_sample_size of them, non-negative and finite;
-    the count model (count=True) also needs integers up to _MAX_COUNT_SCORE,
-    and gets them as an int64 array. An integer array goes to the count
-    model as it is; every other sample is read as floats. Mean and variance
-    are the pairwise sums ndarray.mean and var take, so equal to theirs.
-    """
+    """The scores checked in one pass, with the mean and variance (N - 1) that ndarray.mean and var give.
+    The count model (count=True) gets them as int64: an integer array as it is, others read as floats."""
     integral = count and (xs := np.asarray(scores)).dtype.kind in "iu"
     if not integral:
         xs = np.asarray(scores, dtype=float)
-    size = xs.size
-    if size < config.min_sample_size:
-        raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {size}")
+    if xs.size < config.min_sample_size:
+        raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {xs.size}")
     if xs.min() < 0:
         raise InvalidParams("scores must be non-negative")
     top = xs.max()
@@ -444,13 +437,11 @@ def _checked_sample(scores: Sequence[int], config: FitConfig, count: bool = Fals
     if count:
         if top > _MAX_COUNT_SCORE:
             raise InvalidParams(f"count-model scores above {_MAX_COUNT_SCORE} are not supported")
-        ints = xs.astype(np.int64, copy=False)
-        if not (integral or np.array_equal(ints, xs)):
+        xs, floats = xs.astype(np.int64, copy=False), xs
+        if not (integral or np.array_equal(xs, floats)):
             raise InvalidParams("count-model scores must be integers")
-        xs = ints  # an integer sum is exact, as a float sum of these scores is
-    mean = float(np.add.reduce(xs, axis=None)) / size
-    squares = np.square(xs - mean)
-    return xs, mean, float(np.add.reduce(squares, axis=None)) / (size - 1)
+    mean = float(np.add.reduce(xs, axis=None)) / xs.size  # their pairwise sum, exact for integer scores
+    return xs, mean, float(np.add.reduce(np.square(xs - mean), axis=None)) / (xs.size - 1)
 
 
 def _tail_counts(ints: np.ndarray) -> np.ndarray:
@@ -544,14 +535,11 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
             "the count model cannot represent this sample"
         )
 
-    size = int(ints.size)
-    profile = _NbProfile(_tail_counts(ints), size, xbar)
+    profile = _NbProfile(_tail_counts(ints), ints.size, xbar)
     # rows per product, so the grid-by-score matrix stays near 8 MB
     step = max(1, (1 << 20) // profile.tails.size)
-    if step >= _N_GRID.size:
-        values = profile.loglik(_N_GRID)
-    else:
-        values = np.concatenate([profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)])
+    chunks = [profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)]
+    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     best = float(values.max())
     flat = values >= best - 1e-9 * max(1.0, abs(best))
     i = int(flat.argmax())  # smallest n among ties
@@ -565,7 +553,7 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
     degenerate = bool(flat[-1]) or n_hat >= 0.999 * _N_UPPER
-    return FittedDist(params, size, ll, degenerate=degenerate)
+    return FittedDist(params, ints.size, ll, degenerate=degenerate)
 
 
 def fit_normal(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
