@@ -831,6 +831,17 @@ class TestFitNbBits:
     @given(st.lists(st.integers(min_value=0, max_value=450), min_size=2, max_size=120))
     @example([0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0, 5, 2])
     @example([0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2000])
+    # the moment estimate n0 = mean**2 / (var - mean) below the grid (6.7e-4), and the root below it too
+    @example([0] * 1500 + [400])
+    # n0 above the grid (2.2e6), and the root past its top
+    @example([53, 54, 56, 57, 58, 58, 58, 59, 60, 60, 62, 64, 65, 65, 65, 66, 67, 67, 69, 69, 69, 70, 73, 74]
+             + [75, 76, 76, 77, 78, 79, 80, 80])
+    # the root past the top with the likelihood flat from grid point 60 up, 26 points above n0's
+    @example([0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0]
+             + [1, 3, 3, 1, 1, 3, 1, 2, 2, 2, 2, 2, 3, 3, 3, 0, 0, 2, 2, 4, 3, 2, 3, 0])
+    # the fitted grid point three above n0's, then three below it
+    @example([6, 6, 6, 3, 10, 8, 7, 13, 5])
+    @example([13, 1, 20, 17, 18, 14, 0, 23, 14, 14, 9, 13])
     def test_overdispersed_samples(self, scores):
         xs = np.asarray(scores, dtype=float)
         assume(xs.var(ddof=1) > xs.mean())
