@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 import warnings
+from _statistics import _normal_dist_inv_cdf  # NormalDist.inv_cdf's own C code, without statistics' imports
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Sequence, Union, get_args
@@ -43,10 +43,9 @@ DEFAULT_MIN_SAMPLE_SIZE = 10
 _N_LOWER = 1e-3
 _N_UPPER = 1e6
 _N_REL_TOL = 1e-8
-#: The coarse log-grid over [_N_LOWER, _N_UPPER] that fit_nb scans before refining.
+#: The log-grid over [_N_LOWER, _N_UPPER], of log spacing _N_STEP, that fit_nb walks before refining.
 _N_GRID = np.exp(np.linspace(math.log(_N_LOWER), math.log(_N_UPPER), 64))
-
-_STANDARD_NORMAL = statistics.NormalDist()
+_N_STEP = math.log(_N_UPPER / _N_LOWER) / (_N_GRID.size - 1)
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -139,7 +138,7 @@ class NormalParams(_Continuous):
 
     def _inverse(self, q: float, cap: int) -> int:
         """Ceiling of the inverse CDF at 0 < q < 1 (not floored at 0, nor capped)."""
-        return math.ceil(self.mu + self.sigma * _STANDARD_NORMAL.inv_cdf(q))
+        return math.ceil(self.mu + self.sigma * _normal_dist_inv_cdf(q, 0.0, 1.0))
 
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """A draw X scores ceil(X) floored at 0: ceil(X) > t exactly when X > t, as survival() counts."""
@@ -423,10 +422,19 @@ _MAX_COUNT_SCORE = 10_000_000
 
 def _checked_sample(scores: Sequence[int], config: FitConfig, count: bool = False) -> tuple[np.ndarray, float, float]:
     """The scores checked in one pass, with the mean and variance (N - 1) that ndarray.mean and var give.
+    They must be one dimension of numbers as numpy reads them: no value of an integer or float array is visited.
     The count model (count=True) gets them as int64: an integer array as it is, others read as floats."""
-    integral = count and (xs := np.asarray(scores)).dtype.kind in "iu"
+    try:
+        xs = np.asarray(scores)
+        if xs.dtype.kind == "O" and not any(isinstance(x, (str, bytes, bool, np.bool_)) for x in xs.flat):
+            xs = xs.astype(float)  # None, ints past int64 and other numbers numpy holds as objects
+    except (TypeError, ValueError):  # a ragged nesting, or an object float() refuses
+        xs = None
+    if xs is None or xs.ndim != 1 or xs.dtype.kind not in "iuf":
+        raise InvalidParams("scores must be a one-dimensional sequence of numbers")
+    integral = count and xs.dtype.kind in "iu"
     if not integral:
-        xs = np.asarray(scores, dtype=float)
+        xs = xs.astype(float, copy=False)
     if xs.size < config.min_sample_size:
         raise InsufficientSample(f"need at least {config.min_sample_size} scores, got {xs.size}")
     if xs.min() < 0:
@@ -469,12 +477,11 @@ class _NbProfile:
         self.mean_term = size * xbar * math.log(xbar)
         self.row = np.empty(tails.size)
 
-    def loglik(self, n: float | np.ndarray) -> np.ndarray:
-        """Log-likelihood at each dispersion in n."""
-        n = np.asarray(n, dtype=float)
-        ratios = self.offsets / (n[..., None] + self.xbar)
+    def loglik(self, n: float) -> float:
+        """Log-likelihood at dispersion n."""
+        ratios = self.offsets / (n + self.xbar)
         spread = np.log1p(ratios, out=ratios) @ self.tails
-        return spread - self.log_factorials - self.size * n * np.log1p(self.xbar / n) + self.mean_term
+        return float(spread - self.log_factorials - self.size * n * np.log1p(self.xbar / n) + self.mean_term)
 
     def score(self, n: float) -> float:
         """Derivative in n of the log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
@@ -523,10 +530,10 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
 
     p is profiled out analytically, which pins the fitted mean to the sample
     mean; the dispersion n is then found on log(n) over [_N_LOWER, _N_UPPER].
-    A coarse log-grid scan runs first so that a likelihood flat to tolerance
-    resolves to the smallest (heaviest-tailed) n; a root search on the
-    closed-form score then refines n between the grid neighbours. Scores
-    must be integers.
+    The score has one root, so a walk along a log-grid from the moment
+    estimate finds the grid points around it; a walk down while the likelihood
+    is flat to tolerance resolves it to the smallest (heaviest-tailed) n, and a
+    root search then refines n between its grid neighbours. Scores must be integers.
     """
     ints, xbar, var = _checked_sample(scores, config, count=True)
     if var <= xbar:
@@ -536,23 +543,26 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         )
 
     profile = _NbProfile(_tail_counts(ints), ints.size, xbar)
-    # rows per product, so the grid-by-score matrix stays near 8 MB
-    step = max(1, (1 << 20) // profile.tails.size)
-    chunks = [profile.loglik(_N_GRID[k : k + step]) for k in range(0, _N_GRID.size, step)]
-    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    best = float(values.max())
-    flat = values >= best - 1e-9 * max(1.0, abs(best))
-    i = int(flat.argmax())  # smallest n among ties
+    # from n0 = mean**2 / (var - mean)'s grid point, step the way the score points until its sign turns
+    top = _N_GRID.size - 1
+    k = min(max(round(math.log(xbar * xbar / (var - xbar) / _N_LOWER) / _N_STEP), 0), top)
+    step = 1 if profile.score(float(_N_GRID[k])) > 0.0 else -1
+    while 0 <= k + step <= top and (profile.score(float(_N_GRID[k + step])) > 0.0) == (step > 0):
+        k += step
+    best, i = max((profile.loglik(float(_N_GRID[j])), j) for j in {k, min(max(k + step, 0), top)})
+    floor = best - 1e-9 * max(1.0, abs(best))
+    while i > 0 and profile.loglik(float(_N_GRID[i - 1])) >= floor:  # smallest n among ties
+        i -= 1
 
-    lo, hi = float(_N_GRID[max(i - 1, 0)]), float(_N_GRID[min(i + 1, _N_GRID.size - 1)])
+    lo, hi = float(_N_GRID[max(i - 1, 0)]), float(_N_GRID[min(i + 1, top)])
     n_hat = _nb_refine(lo, hi, profile, _N_REL_TOL)
-    ll = float(profile.loglik(n_hat))
+    ll = profile.loglik(n_hat)
     if ll < best:
         n_hat = float(_N_GRID[i])
-        ll = float(profile.loglik(n_hat))
+        ll = profile.loglik(n_hat)
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
-    degenerate = bool(flat[-1]) or n_hat >= 0.999 * _N_UPPER
+    degenerate = profile.loglik(float(_N_GRID[top])) >= floor or n_hat >= 0.999 * _N_UPPER
     return FittedDist(params, ints.size, ll, degenerate=degenerate)
 
 

@@ -284,6 +284,18 @@ class TestQuantile:
         assert quantile(dist, 0.5) == 200
         assert cdf(dist, quantile(dist, 0.9)) >= 0.9
 
+    def test_normal_inverse_is_the_standard_library_one(self):
+        """The normal quantile inverts through the C function NormalDist.inv_cdf
+        itself calls, so every answer equals the one statistics gives."""
+        import statistics
+
+        standard = statistics.NormalDist()
+        qs = np.linspace(0.0, 1.0, 20001)[1:-1].tolist() + [5e-324, 1e-300, 1e-17, 0.5 - 2**-54, 1.0 - 2**-53]
+        assert [distributions._normal_dist_inv_cdf(q, 0.0, 1.0) for q in qs] == [standard.inv_cdf(q) for q in qs]
+        dist = FittedDist.normal(200.0, 45.0)
+        expected = [max(math.ceil(200.0 + 45.0 * standard.inv_cdf(q)), 0) for q in qs]
+        assert [quantile(dist, q, cap=10**6) for q in qs] == expected
+
     def test_continuous_quantile_floors_at_zero(self):
         assert quantile(FittedDist.normal(5.0, 50.0), 0.05) == 0
 
@@ -978,6 +990,46 @@ class TestNonFiniteScores:
     @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
     def test_negative_infinity_is_a_negative_score(self, fitter):
         assert _rejection(fitter, [-math.inf] + VALID_SCORES) == (InvalidParams, "scores must be non-negative")
+
+
+#: Inputs that are not a sample, each built afresh per test, with at least ten values where it holds any.
+NOT_A_SAMPLE = {
+    "nested-list": lambda: [[1, 2, 30], [4, 5, 60], [7, 8, 90], [1, 50, 3]],
+    "ragged-list": lambda: [[180, 210], [240]] + VALID_SCORES,
+    "2-d-integer-array": lambda: np.array(VALID_SCORES * 2).reshape(4, 5),
+    "digit-strings": lambda: ["200", "1", "30", "5", "7", "90", "3", "15", "200", "0"],
+    "letters": lambda: ["a"] * 12,
+    "one-string": lambda: "1803002104150",
+    "string-beside-none": lambda: [None, "200"] + VALID_SCORES,
+    "bools": lambda: [True, False, False] * 4,
+    "bool-array": lambda: np.array([True, False, False] * 4),
+    "bool-beside-a-huge-int": lambda: [True, 2**70] + VALID_SCORES,
+    "complex": lambda: [1j] + VALID_SCORES,
+    "dict": lambda: dict(enumerate(VALID_SCORES)),
+    "set": lambda: set(VALID_SCORES),
+    "generator": lambda: (score for score in VALID_SCORES),
+}
+
+
+class TestFitInputs:
+    """A sample is one dimension of numbers; anything else is rejected by
+    every fit as InvalidParams, never as a numpy or Python error, and never
+    read as scores."""
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    @pytest.mark.parametrize("make", NOT_A_SAMPLE.values(), ids=NOT_A_SAMPLE.keys())
+    def test_rejected_as_not_a_sample(self, fitter, make):
+        message = "scores must be a one-dimensional sequence of numbers"
+        assert _rejection(fitter, make()) == (InvalidParams, message)
+
+    @pytest.mark.parametrize("fitter", [fit_nb, fit_normal, fit_logistic])
+    @pytest.mark.parametrize(
+        "sample",
+        [range(0, 400, 40), [np.int64(x) for x in VALID_SCORES], np.array(VALID_SCORES, dtype=np.uint16)[::-1]],
+        ids=["range", "numpy-ints", "reversed-uint16"],
+    )
+    def test_number_sequences_fit_as_a_list(self, fitter, sample):
+        assert fitter(sample) == fitter([int(x) for x in sample])
 
 
 class TestSerialization:
