@@ -100,7 +100,7 @@ class TestSummary:
         assert err == "error: unreadable CSV: not UTF-8 (invalid start byte)\n"
 
     def test_byte_order_mark_gives_the_golden_summary(self, cli, tmp_path):
-        """The same bytes CI's byte-order-mark step compares through the installed entry point."""
+        """A match CSV saved with a leading byte-order mark gives the golden summary."""
         data = tmp_path / "matches.csv"
         data.write_bytes(b"\xef\xbb\xbf" + (ROOT / "tests" / "golden" / "matches.csv").read_bytes())
         code, out, err = cli("summary", "--data", str(data))
@@ -412,6 +412,11 @@ class TestReport:
         assert code == 0
         body = [line for line in out.splitlines()[1:] if line and not line.startswith("venue,")]
         assert body and {line.split(",")[1] for line in body} == {"logistic"}
+        golden = ROOT / "tests" / "golden"
+        cfg.write_text(f"data = {golden / 'matches.csv'}\nfamily = nb\n")
+        code, out, err = cli("report", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (golden / "report_nb.csv").read_bytes()
 
     def test_target_grid_flag(self, cli, data_csv):
         code, out, _ = cli(
@@ -784,10 +789,11 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestEntryPoints:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    def test_cli_import_leaves_statistics_and_scipy_unloaded(self):
         proc = _run_python(
             "-c",
-            "import sys, fairchase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "import sys, fairchase.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('statistics', 'scipy')))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

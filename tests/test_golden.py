@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import re
-import shlex
 import sys
 import tempfile
 from collections import Counter
@@ -39,7 +37,6 @@ from fairchase.cli import _FIT_ERRORS, _curves_csv, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = GOLDEN / "matches.csv"
-WORKFLOW = GOLDEN.parents[1] / ".github" / "workflows" / "tests.yml"
 
 FAMILIES = ("nb", "normal", "logistic")
 CURVE_VENUES = "Auckland,Darwin,Eden,Fremantle"
@@ -95,25 +92,6 @@ def run_case(argv: list[str]) -> tuple[int, str]:
         code = main([*argv, "--data", str(DATA), "--out", str(out_dir)])
         text = "".join(f"== {path.name}\n{read_exact(path)}" for path in sorted(out_dir.iterdir()))
         return code, text
-
-
-def test_workflow_golden_steps_run_the_indexed_commands():
-    """Each CI step piping `fairchase ...` into cmp against a golden file runs
-    that file's golden_cases() command with --data added, and the case exits
-    0, since the pipe drops the exit code; steps that read a --config file
-    are left out."""
-    cases = golden_cases()
-    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
-    piped = [line for line in lines if "| cmp - tests/golden/" in line and "--config" not in line]
-    assert piped
-    for line in piped:
-        match = re.fullmatch(r"\s*run: fairchase (.+) \| cmp - tests/golden/(\S+)", line)
-        assert match, line
-        argv = shlex.split(match[1])
-        at = argv.index("--data")
-        assert argv[at + 1] == "tests/golden/matches.csv", line
-        del argv[at : at + 2]
-        assert (argv, 0) == cases[match[2]], line
 
 
 @pytest.mark.parametrize("name", sorted(golden_cases()))
