@@ -318,13 +318,16 @@ def _check_cap(cap: int) -> None:
 
 
 def _score_array(x: int | np.ndarray) -> np.ndarray:
-    """Scores as an int64 array; a Python int becomes a 0-d array."""
-    if isinstance(x, int):
+    """Scores as an int64 array; a Python int becomes a 0-d array. A bool, a list or
+    anything else but an int, a numpy integer or an integer numpy array is refused."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return np.array(min(max(x, -_SCORE_LIMIT), _SCORE_LIMIT), dtype=np.int64)
+    if not isinstance(x, (np.ndarray, np.integer)):
+        raise InvalidParams(f"scores must be integers, got {type(x).__name__}")
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise InvalidParams(f"scores must be integers, got dtype {x.dtype}")
-    if x.dtype.kind == "u":
+    if x.dtype == np.uint64:
         x = np.minimum(x, _SCORE_LIMIT)
     return np.maximum(x.astype(np.int64, copy=False), -_SCORE_LIMIT, out=np.empty(x.shape, np.int64))
 
@@ -377,9 +380,13 @@ def quantile(dist: FittedDist, q: float | np.ndarray, cap: int = DEFAULT_QUANTIL
     """
     _check_cap(cap)
     if isinstance(q, np.ndarray):
+        if q.dtype.kind not in "iuf":
+            raise InvalidParams(f"quantile probabilities must be numbers, got dtype {q.dtype}")
         if q.ndim:
             return _quantile_array(dist, q, cap)
         q = float(q)  # a 0-d array is one probability
+    elif isinstance(q, bool) or not isinstance(q, (float, int, np.floating, np.integer)):
+        raise InvalidParams(f"quantile probability must be a number, got {type(q).__name__}")
     if not (0.0 <= q <= 1.0):
         raise InvalidParams(f"quantile probability must lie in [0, 1], got {q}")
     if q == 0.0:
@@ -428,7 +435,7 @@ def _checked_sample(scores: Sequence[int], config: FitConfig, count: bool = Fals
         xs = np.asarray(scores)
         if xs.dtype.kind == "O" and not any(isinstance(x, (str, bytes, bool, np.bool_)) for x in xs.flat):
             xs = xs.astype(float)  # None, ints past int64 and other numbers numpy holds as objects
-    except (TypeError, ValueError):  # a ragged nesting, or an object float() refuses
+    except (TypeError, ValueError, OverflowError):  # a ragged nesting, an object float() refuses, an int past floats
         xs = None
     if xs is None or xs.ndim != 1 or xs.dtype.kind not in "iuf":
         raise InvalidParams("scores must be a one-dimensional sequence of numbers")

@@ -1008,6 +1008,7 @@ NOT_A_SAMPLE = {
     "dict": lambda: dict(enumerate(VALID_SCORES)),
     "set": lambda: set(VALID_SCORES),
     "generator": lambda: (score for score in VALID_SCORES),
+    "int-past-the-float-range": lambda: [10**400] + VALID_SCORES,
 }
 
 
@@ -1030,6 +1031,73 @@ class TestFitInputs:
     )
     def test_number_sequences_fit_as_a_list(self, fitter, sample):
         assert fitter(sample) == fitter([int(x) for x in sample])
+
+
+#: Inputs that pmf, cdf and survival refuse: bools, lists and anything else
+#: that is neither an integer nor an integer numpy array.
+NOT_A_SCORE = {
+    "true": True,
+    "numpy-bool": np.bool_(True),
+    "float": 5.0,
+    "numpy-float": np.float64(5.0),
+    "digit-string": "5",
+    "none": None,
+    "list": [1, 2],
+    "nested-list": [[1, 2], [3, 4]],
+    "tuple": (1, 2),
+    "bool-array": np.array([True, False]),
+}
+
+#: Inputs that quantile refuses: bools, lists and anything else that is
+#: neither a number nor a numeric numpy array.
+NOT_A_PROBABILITY = {
+    "true": True,
+    "false": False,
+    "numpy-bool": np.bool_(True),
+    "digit-string": "0.5",
+    "none": None,
+    "complex": 0.5j,
+    "list": [0.5, 0.9],
+    "bool-array": np.array([True, False]),
+    "0-d-bool-array": np.array(True),
+    "string-array": np.array(["0.5"]),
+}
+
+
+def _refusal(x, noun: str) -> str:
+    """The InvalidParams message an evaluator gives for x, by its type or an array's dtype."""
+    return f"^{noun}, got dtype {x.dtype}$" if isinstance(x, np.ndarray) else f"^{noun}, got {type(x).__name__}$"
+
+
+class TestEvaluatorInputs:
+    """pmf, cdf and survival take an integer or an integer numpy array, and
+    quantile a number or a numeric numpy array; anything else raises
+    InvalidParams, never a numpy or Python error, and is never answered."""
+
+    @pytest.mark.parametrize("fn", [pmf, cdf, survival])
+    @pytest.mark.parametrize("x", NOT_A_SCORE.values(), ids=NOT_A_SCORE.keys())
+    def test_not_a_score(self, fn, x):
+        with pytest.raises(InvalidParams, match=_refusal(x, "scores must be integers")):
+            fn(GEOMETRIC, x)
+
+    @pytest.mark.parametrize("q", NOT_A_PROBABILITY.values(), ids=NOT_A_PROBABILITY.keys())
+    def test_not_a_probability(self, q):
+        array = isinstance(q, np.ndarray)
+        noun = "quantile probabilities must be numbers" if array else "quantile probability must be a number"
+        with pytest.raises(InvalidParams, match=_refusal(q, noun)):
+            quantile(GEOMETRIC, q)
+
+    @pytest.mark.parametrize("x", [np.int64(3), np.uint8(3), np.int32(-1)], ids=["int64", "uint8", "int32"])
+    def test_numpy_integer_scalars_are_scores(self, x):
+        for fn in (pmf, cdf, survival):
+            got = fn(GEOMETRIC, x)
+            assert type(got) is float and got == fn(GEOMETRIC, int(x))
+
+    @pytest.mark.parametrize(
+        "q", [0, np.int64(0), np.float32(0.75), np.float64(0.76)], ids=["int", "numpy-int", "float32", "float64"]
+    )
+    def test_numbers_are_probabilities(self, q):
+        assert quantile(GEOMETRIC, q) == quantile(GEOMETRIC, float(q))
 
 
 class TestSerialization:
