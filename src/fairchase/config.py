@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .distributions import _MAX_COUNT_SCORE, DEFAULT_MIN_SAMPLE_SIZE, DEFAULT_QUANTILE_CAP, Family, FitConfig
-from .errors import FairchaseError
+from .errors import FairchaseError, _frozen
 from .revision import DEFAULT_TARGET_GRID
 
 DEFAULT_CURVE_MAX_SCORE = 600
@@ -25,7 +24,7 @@ DEFAULT_SEED = 0
 LOW_TARGET_WARNING_THRESHOLD = 300
 
 
-@dataclass(frozen=True)
+@_frozen
 class AppConfig:
     """The resolved settings: one field per SETTINGS key, each checked by its parser."""
 
@@ -40,6 +39,16 @@ class AppConfig:
     format: str = "csv"
     seed: int = DEFAULT_SEED
     curve_max_score: int = DEFAULT_CURVE_MAX_SCORE
+
+    def __init__(self, data: str | None = None, venues: tuple[str, ...] | None = None, family: Family | None = None,
+                 target_grid: tuple[int, ...] = DEFAULT_TARGET_GRID, min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE,
+                 quantile_cap: int = DEFAULT_QUANTILE_CAP, format: str = "csv", seed: int = DEFAULT_SEED,
+                 curve_max_score: int = DEFAULT_CURVE_MAX_SCORE):
+        object.__setattr__(self, "__dict__", {
+            "data": data, "venues": venues, "family": family, "target_grid": target_grid,
+            "min_sample_size": min_sample_size, "quantile_cap": quantile_cap, "format": format, "seed": seed,
+            "curve_max_score": curve_max_score,
+        })
 
     @property
     def fit_family(self) -> Family:

@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from _statistics import _normal_dist_inv_cdf  # NormalDist.inv_cdf's own C code, without statistics' imports
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from enum import Enum
 from typing import Callable, ClassVar, Sequence, Union, get_args
 
@@ -32,6 +32,7 @@ from .errors import (
     InvalidParams,
     UnderdispersedSample,
     ZeroVariance,
+    _frozen,
 )
 
 DEFAULT_QUANTILE_CAP = 2000
@@ -55,7 +56,7 @@ class Family(str, Enum):
     LOGISTIC = "logistic"
 
 
-@dataclass(frozen=True)
+@_frozen
 class NegBinParams:
     """Count-model parameters: dispersion n > 0 and probability 0 < p < 1.
 
@@ -67,11 +68,12 @@ class NegBinParams:
     n: float
     p: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise InvalidParams(f"dispersion n must be finite and positive, got {self.n}")
-        if not (0.0 < self.p < 1.0):
-            raise InvalidParams(f"probability p must lie in (0, 1), got {self.p}")
+    def __init__(self, n: float, p: float):
+        if not (math.isfinite(n) and n > 0):
+            raise InvalidParams(f"dispersion n must be finite and positive, got {n}")
+        if not (0.0 < p < 1.0):
+            raise InvalidParams(f"probability p must lie in (0, 1), got {p}")
+        object.__setattr__(self, "__dict__", {"n": n, "p": p})
 
     @property
     def mean(self) -> float:
@@ -117,17 +119,18 @@ class _Continuous:
         return [min(max(v, 0), cap) for v in found], [v > cap for v in found]
 
 
-@dataclass(frozen=True)
+@_frozen
 class NormalParams(_Continuous):
     family: ClassVar[Family] = Family.NORMAL
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidParams(f"sigma must be finite and positive, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise InvalidParams(f"mu must be finite, got {self.mu}")
+    def __init__(self, mu: float, sigma: float):
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise InvalidParams(f"sigma must be finite and positive, got {sigma}")
+        if not math.isfinite(mu):
+            raise InvalidParams(f"mu must be finite, got {mu}")
+        object.__setattr__(self, "__dict__", {"mu": mu, "sigma": sigma})
 
     @property
     def mean(self) -> float:
@@ -145,17 +148,18 @@ class NormalParams(_Continuous):
         return np.maximum(np.ceil(rng.normal(self.mu, self.sigma, size=count)), 0.0).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LogisticParams(_Continuous):
     family: ClassVar[Family] = Family.LOGISTIC
     mu: float
     s: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise InvalidParams(f"scale s must be finite and positive, got {self.s}")
-        if not math.isfinite(self.mu):
-            raise InvalidParams(f"mu must be finite, got {self.mu}")
+    def __init__(self, mu: float, s: float):
+        if not (math.isfinite(s) and s > 0):
+            raise InvalidParams(f"scale s must be finite and positive, got {s}")
+        if not math.isfinite(mu):
+            raise InvalidParams(f"mu must be finite, got {mu}")
+        object.__setattr__(self, "__dict__", {"mu": mu, "s": s})
 
     @property
     def mean(self) -> float:
@@ -181,7 +185,7 @@ Params = Union[NegBinParams, NormalParams, LogisticParams]
 _PARAMS_BY_FAMILY = {cls.family: cls for cls in get_args(Params)}
 
 
-@dataclass(frozen=True)
+@_frozen
 class FittedDist:
     """One fitted (or hand-specified) score distribution.
 
@@ -196,13 +200,16 @@ class FittedDist:
     log_likelihood: float = 0.0
     degenerate: bool = False
 
-    def __post_init__(self):
-        if not isinstance(self.params, Params):
-            raise InvalidParams(f"params of no family: {type(self.params).__name__}")
-        if not math.isfinite(self.log_likelihood):
+    def __init__(self, params: Params, sample_size: int = 0, log_likelihood: float = 0.0, degenerate: bool = False):
+        if not isinstance(params, Params):
+            raise InvalidParams(f"params of no family: {type(params).__name__}")
+        if not math.isfinite(log_likelihood):
             raise InvalidParams("log_likelihood must be finite")
-        if self.sample_size < 0:
+        if sample_size < 0:
             raise InvalidParams("sample_size must be non-negative")
+        object.__setattr__(self, "__dict__", {
+            "params": params, "sample_size": sample_size, "log_likelihood": log_likelihood, "degenerate": degenerate,
+        })
 
     @classmethod
     def negbin(cls, n: float, p: float) -> "FittedDist":
@@ -225,7 +232,12 @@ class FittedDist:
         return self.params.mean
 
 
-@dataclass(frozen=True)
+def _is_integer(value: object) -> bool:
+    """Whether value is an int that is not a bool, or a numpy integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@_frozen
 class FitConfig:
     """The fit settings a caller chooses: the smallest case sample a fit
     accepts, and the ceiling for discrete quantiles."""
@@ -233,8 +245,11 @@ class FitConfig:
     min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
     quantile_cap: int = DEFAULT_QUANTILE_CAP
 
-    def __post_init__(self):
-        if self.min_sample_size < 2 or self.quantile_cap < 1:
+    def __init__(self, min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE, quantile_cap: int = DEFAULT_QUANTILE_CAP):
+        if not _is_integer(quantile_cap):
+            raise FairchaseError(f"quantile_cap must be an integer, got {type(quantile_cap).__name__}")
+        object.__setattr__(self, "__dict__", {"min_sample_size": min_sample_size, "quantile_cap": quantile_cap})
+        if min_sample_size < 2 or quantile_cap < 1:
             raise FairchaseError(f"need min_sample_size >= 2 and quantile_cap >= 1, got {self}")
 
 
@@ -313,6 +328,8 @@ _SCORE_LIMIT = 2**63 - 1
 
 
 def _check_cap(cap: int) -> None:
+    if not _is_integer(cap):
+        raise InvalidParams(f"quantile cap must be an integer, got {type(cap).__name__}")
     if not 0 <= cap <= _SCORE_LIMIT:
         raise InvalidParams(f"quantile cap must lie in [0, {_SCORE_LIMIT}], got {cap}")
 
@@ -550,26 +567,33 @@ def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> Fit
         )
 
     profile = _NbProfile(_tail_counts(ints), ints.size, xbar)
+    logliks: dict[float, float] = {}  # by n: the walk, the checks below and the refine's ends revisit grid points
+
+    def loglik(n: float) -> float:
+        if n not in logliks:
+            logliks[n] = profile.loglik(n)
+        return logliks[n]
+
     # from n0 = mean**2 / (var - mean)'s grid point, step the way the score points until its sign turns
     top = _N_GRID.size - 1
     k = min(max(round(math.log(xbar * xbar / (var - xbar) / _N_LOWER) / _N_STEP), 0), top)
     step = 1 if profile.score(float(_N_GRID[k])) > 0.0 else -1
     while 0 <= k + step <= top and (profile.score(float(_N_GRID[k + step])) > 0.0) == (step > 0):
         k += step
-    best, i = max((profile.loglik(float(_N_GRID[j])), j) for j in {k, min(max(k + step, 0), top)})
+    best, i = max((loglik(float(_N_GRID[j])), j) for j in {k, min(max(k + step, 0), top)})
     floor = best - 1e-9 * max(1.0, abs(best))
-    while i > 0 and profile.loglik(float(_N_GRID[i - 1])) >= floor:  # smallest n among ties
+    while i > 0 and loglik(float(_N_GRID[i - 1])) >= floor:  # smallest n among ties
         i -= 1
 
     lo, hi = float(_N_GRID[max(i - 1, 0)]), float(_N_GRID[min(i + 1, top)])
     n_hat = _nb_refine(lo, hi, profile, _N_REL_TOL)
-    ll = profile.loglik(n_hat)
+    ll = loglik(n_hat)
     if ll < best:
         n_hat = float(_N_GRID[i])
-        ll = profile.loglik(n_hat)
+        ll = loglik(n_hat)
 
     params = NegBinParams(n_hat, n_hat / (n_hat + xbar))
-    degenerate = profile.loglik(float(_N_GRID[top])) >= floor or n_hat >= 0.999 * _N_UPPER
+    degenerate = loglik(float(_N_GRID[top])) >= floor or n_hat >= 0.999 * _N_UPPER
     return FittedDist(params, ints.size, ll, degenerate=degenerate)
 
 

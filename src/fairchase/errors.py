@@ -1,6 +1,11 @@
-"""Exception types and warning categories shared across the package."""
+"""Exception types and warning categories shared across the package, and the
+decorator that makes its public classes frozen values."""
 
 from __future__ import annotations
+
+from dataclasses import FrozenInstanceError, dataclass, fields
+from operator import attrgetter
+from reprlib import recursive_repr
 
 
 class FairchaseError(Exception):
@@ -68,3 +73,52 @@ class InconsistentSpec(FairchaseError):
 class DegenerateQuantileWarning(UserWarning):
     """quantile() was asked for a probability the unbounded support cannot
     reach; the configured hard cap was returned instead."""
+
+
+def _frozen(cls: type) -> type:
+    """A frozen value class: the dataclass fields of cls, compared, hashed and
+    printed as a tuple of them, and never assigned or deleted.
+
+    dataclass(frozen=True) would exec an __init__, __eq__, __hash__,
+    __setattr__ and __delattr__ for every class as the package is imported;
+    the methods here are written once and read the class's field names. So
+    each class writes its own __init__: it checks its arguments and stores the
+    fields as one assigned __dict__, not one frozen setattr each (records
+    whose __dict__ was updated instead categorized about 15% slower on 3.11).
+    What is kept outside the fields, such as NegBinParams' table cache, is
+    unseen by ==, hash, repr and asdict.
+    """
+    cls = dataclass(cls, init=False, eq=False, repr=False)
+    names = tuple(f.name for f in fields(cls))
+    # attrgetter of one name gives the bare value, not a tuple of one
+    values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({text})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if cls.__init__.__annotations__:  # the return annotation dataclass's own __init__ carries
+        cls.__init__.__annotations__["return"] = None
+    return cls

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import IO, Collection, Iterable, Mapping, Sequence, Union
@@ -27,6 +26,7 @@ from .errors import (
     MalformedRow,
     RowError,
     UnknownVenue,
+    _frozen,
 )
 
 CSV_HEADER = (
@@ -63,7 +63,7 @@ class CaseLabel(str, Enum):
     BAT_SECOND_LOSE = "BatSecondLose"
 
 
-@dataclass(frozen=True, init=False)
+@_frozen
 class MatchRecord:
     match_id: str
     venue: str
@@ -96,8 +96,6 @@ class MatchRecord:
             )
         if outcome is Outcome.TIE and first != second:
             raise InconsistentOutcome(f"tie requires equal scores, got {first} and {second}")
-        # one assigned __dict__, not seven frozen setattrs: records whose
-        # __dict__ was updated instead categorized about 15% slower on 3.11
         object.__setattr__(self, "__dict__", {
             "match_id": match_id, "venue": venue, "date": date, "first_innings_runs": first,
             "second_innings_runs": second, "outcome": outcome, "reduced_overs": reduced_overs,
@@ -109,7 +107,7 @@ class MatchRecord:
 CategorizedScores = Mapping[str, Mapping[CaseLabel, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
+@_frozen
 class SummaryRow:
     """One venue line of the summary table. Percentages and averages keep
     full precision; rounding happens only at display time."""
@@ -122,6 +120,16 @@ class SummaryRow:
     pct_bat_second_win: float
     avg_bat_second_win: float
     avg_bat_first_lose: float
+
+    def __init__(self, venue: str, total_matches: int, pct_bat_first_win: float, avg_bat_first_win: float,
+                 avg_bat_second_lose: float, pct_bat_second_win: float, avg_bat_second_win: float,
+                 avg_bat_first_lose: float):
+        object.__setattr__(self, "__dict__", {
+            "venue": venue, "total_matches": total_matches, "pct_bat_first_win": pct_bat_first_win,
+            "avg_bat_first_win": avg_bat_first_win, "avg_bat_second_lose": avg_bat_second_lose,
+            "pct_bat_second_win": pct_bat_second_win, "avg_bat_second_win": avg_bat_second_win,
+            "avg_bat_first_lose": avg_bat_first_lose,
+        })
 
 
 Source = Union[str, os.PathLike, IO[str]]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Mapping, Sequence
 
@@ -38,13 +37,13 @@ from .distributions import (
     quantile,
     survival,
 )
-from .errors import FairchaseError, InsufficientSample, TargetUnattainable
+from .errors import FairchaseError, InsufficientSample, TargetUnattainable, _frozen
 from .matches import CaseLabel, CategorizedScores, csv_fields, csv_text, resolve_venue, venue_names
 
 DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
 
 
-@dataclass(frozen=True)
+@_frozen
 class RevisionModel:
     """Fitted winning-score distributions and win-frequency ratio for one venue."""
 
@@ -54,19 +53,24 @@ class RevisionModel:
     dist_bat_second_win: FittedDist
     quantile_cap: int
 
-    def __post_init__(self):
-        if not (math.isfinite(self.win_ratio) and self.win_ratio > 0):
-            raise FairchaseError(f"win_ratio must be finite and positive, got {self.win_ratio}")
-        if self.dist_bat_first_win.family is not self.dist_bat_second_win.family:
+    def __init__(self, venue: str, win_ratio: float, dist_bat_first_win: FittedDist, dist_bat_second_win: FittedDist,
+                 quantile_cap: int):
+        if not (math.isfinite(win_ratio) and win_ratio > 0):
+            raise FairchaseError(f"win_ratio must be finite and positive, got {win_ratio}")
+        if dist_bat_first_win.family is not dist_bat_second_win.family:
             raise FairchaseError("both fitted distributions must be of one family")
-        _check_cap(self.quantile_cap)
+        _check_cap(quantile_cap)
+        object.__setattr__(self, "__dict__", {
+            "venue": venue, "win_ratio": win_ratio, "dist_bat_first_win": dist_bat_first_win,
+            "dist_bat_second_win": dist_bat_second_win, "quantile_cap": quantile_cap,
+        })
 
     @property
     def family(self) -> Family:
         return self.dist_bat_first_win.family
 
 
-@dataclass(frozen=True)
+@_frozen
 class TargetCell:
     """The revised target for one venue, family and actual target."""
 
@@ -77,6 +81,13 @@ class TargetCell:
     #: The CDF level the revised target was read off at.
     q_internal: float | None
     status: str  # "ok", "unattainable", or "skipped: <reason>"
+
+    def __init__(self, venue: str, family: Family, actual: int, revised: int | None, q_internal: float | None,
+                 status: str):
+        object.__setattr__(self, "__dict__", {
+            "venue": venue, "family": family, "actual": actual, "revised": revised, "q_internal": q_internal,
+            "status": status,
+        })
 
 
 #: Rendered cell columns, in order; revise writes all but status.
@@ -169,11 +180,14 @@ def equalization_slack(model: RevisionModel, cells: Sequence[TargetCell]) -> flo
     return float((np.abs(survival(second, revised) - chase) - pmf(second, revised)).max(initial=-math.inf))
 
 
-@dataclass(frozen=True)
+@_frozen
 class RevisionReport:
     families: tuple[Family, ...]
     target_grid: tuple[int, ...]
     cells: tuple[TargetCell, ...]
+
+    def __init__(self, families: tuple[Family, ...], target_grid: tuple[int, ...], cells: tuple[TargetCell, ...]):
+        object.__setattr__(self, "__dict__", {"families": families, "target_grid": target_grid, "cells": cells})
 
 
 def revision_report(

@@ -10,13 +10,13 @@ how trial work could be partitioned across workers without changing results.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .distributions import _SCORE_LIMIT, FittedDist, cdf, quantile
-from .errors import FairchaseError, InconsistentSpec
+from .errors import FairchaseError, InconsistentSpec, _frozen
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
 
@@ -41,7 +41,7 @@ def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
     return [int(x) for x in dist.params._draw(rng, count)]
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimResult:
     """Simulated exceedance probabilities on both sides of the equalization
     identity, with binomial standard errors."""
@@ -55,6 +55,14 @@ class SimResult:
     est_second_exceed: float
     se_second_exceed: float
     trials: int
+
+    def __init__(self, venue: str, actual_target: int, revised_target: int, win_ratio: float, est_first_exceed: float,
+                 se_first_exceed: float, est_second_exceed: float, se_second_exceed: float, trials: int):
+        object.__setattr__(self, "__dict__", {
+            "venue": venue, "actual_target": actual_target, "revised_target": revised_target, "win_ratio": win_ratio,
+            "est_first_exceed": est_first_exceed, "se_first_exceed": se_first_exceed,
+            "est_second_exceed": est_second_exceed, "se_second_exceed": se_second_exceed, "trials": trials,
+        })
 
     @property
     def degenerate(self) -> bool:
@@ -98,7 +106,7 @@ def check_equalization(model: RevisionModel, actual_target: int, n_trials: int, 
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class SyntheticVenueSpec:
     """Recipe for one venue's synthetic matches: the decisive matches won
     batting first and batting second, and a law for each case's scores.
@@ -109,9 +117,14 @@ class SyntheticVenueSpec:
     bat_second_wins: int
     case_dists: Mapping[CaseLabel, FittedDist]
 
-    def __post_init__(self):
-        if self.bat_first_wins < 0 or self.bat_second_wins < 0:
-            raise InconsistentSpec(f"venue {self.venue!r}: match counts must be non-negative")
+    def __init__(self, venue: str, bat_first_wins: int, bat_second_wins: int,
+                 case_dists: Mapping[CaseLabel, FittedDist]):
+        if bat_first_wins < 0 or bat_second_wins < 0:
+            raise InconsistentSpec(f"venue {venue!r}: match counts must be non-negative")
+        object.__setattr__(self, "__dict__", {
+            "venue": venue, "bat_first_wins": bat_first_wins, "bat_second_wins": bat_second_wins,
+            "case_dists": case_dists,
+        })
         for label in CaseLabel:
             if self.count(label) > 0 and label not in self.case_dists:
                 raise InconsistentSpec(f"venue {self.venue!r}: no distribution for {label.value}")

@@ -149,6 +149,18 @@ class TestParams:
             FitConfig(**kwargs)
         assert not isinstance(info.value, InvalidParams)
 
+    @pytest.mark.parametrize(
+        "cap", [150.5, 300.0, True, "300", None], ids=["float", "integral-float", "bool", "str", "none"]
+    )
+    def test_fit_config_rejects_a_cap_that_is_not_an_integer(self, cap):
+        message = f"^quantile_cap must be an integer, got {type(cap).__name__}$"
+        with pytest.raises(FairchaseError, match=message) as info:
+            FitConfig(quantile_cap=cap)
+        assert not isinstance(info.value, InvalidParams)
+
+    def test_fit_config_takes_a_numpy_integer_cap(self):
+        assert FitConfig(quantile_cap=np.int64(150)) == FitConfig(quantile_cap=150)
+
 
 class TestPmf:
     def test_geometric_at_zero(self):
@@ -338,6 +350,24 @@ class TestQuantile:
             xs, warned = _quantile_warned(dist, np.array([0.5, 1.0]), cap)
             assert xs.tolist() == [_quantile_warned(dist, q, cap)[0] for q in (0.5, 1.0)]
             assert xs.tolist() == [min(median, cap), cap] and warned
+
+    @pytest.mark.parametrize(
+        "cap", [True, False, np.bool_(True), 150.5, 150.0, np.float64(150.0), "300", None],
+        ids=["true", "false", "numpy-bool", "float", "integral-float", "numpy-float", "str", "none"],
+    )
+    @pytest.mark.parametrize("q", [0.99, np.array([0.99, 0.99])], ids=["scalar", "array"])
+    def test_cap_must_be_an_integer(self, cap, q):
+        """A bool or a number that is not an integer is refused by the scalar
+        and the array call alike, as is anything that is not a number."""
+        with pytest.raises(InvalidParams, match=f"^quantile cap must be an integer, got {type(cap).__name__}$"):
+            quantile(GEOMETRIC, q, cap=cap)
+
+    @pytest.mark.parametrize("cap", [np.int64(1), np.uint8(1), np.int32(0)], ids=["int64", "uint8", "int32"])
+    def test_numpy_integer_caps_are_caps(self, cap):
+        with pytest.warns(DegenerateQuantileWarning):
+            assert quantile(GEOMETRIC, 0.99, cap=cap) == int(cap)
+        with pytest.warns(DegenerateQuantileWarning):
+            assert quantile(GEOMETRIC, np.array([0.99, 0.99]), cap=cap).tolist() == [int(cap)] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -858,6 +888,33 @@ class TestFitNbBits:
         xs = np.asarray(scores, dtype=float)
         assume(xs.var(ddof=1) > xs.mean())
         _assert_fit_bits(scores)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            seeded_nb_sample(8.0, 0.04, 60, seed=3),
+            [0] * 1500 + [400],
+            [0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0]
+            + [1, 3, 3, 1, 1, 3, 1, 2, 2, 2, 2, 2, 3, 3, 3, 0, 0, 2, 2, 4, 3, 2, 3, 0],
+            [6, 6, 6, 3, 10, 8, 7, 13, 5],
+            [13, 1, 20, 17, 18, 14, 0, 23, 14, 14, 9, 13],
+        ],
+        ids=["typical", "below-the-grid", "flat-to-the-top", "three-above-n0", "three-below-n0"],
+    )
+    def test_each_grid_point_is_evaluated_once(self, scores, monkeypatch):
+        """The walk, the walk down a flat likelihood, the fallback to a grid
+        point and the degenerate check share one evaluation per grid point."""
+        calls: dict[float, int] = {}
+        loglik = distributions._NbProfile.loglik
+
+        def counted(profile, n):
+            calls[n] = calls.get(n, 0) + 1
+            return loglik(profile, n)
+
+        monkeypatch.setattr(distributions._NbProfile, "loglik", counted)
+        fit_nb(scores, SMALL)
+        on_grid = {n: count for n, count in calls.items() if n in set(distributions._N_GRID.tolist())}
+        assert on_grid and max(on_grid.values()) == 1, on_grid
 
     def test_concurrent_fits_share_no_scratch(self):
         """Each fit evaluates its score in a row of its own, so threads fitting

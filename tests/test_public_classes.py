@@ -1,6 +1,7 @@
 """The 13 frozen public classes as the README documents them: equality,
 hashing, repr and a pickle round trip for each, `asdict` on each params
-class and `dataclasses.replace` on a `MatchRecord`.
+class and `dataclasses.replace` on a `MatchRecord`; fields that can be
+neither assigned nor deleted; and each constructor's signature.
 
 Each case builds one instance twice and names a second instance that must
 compare unequal to it. The reprs are today's, character for character, so a
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import inspect
 import pickle
 
 import pytest
@@ -31,6 +33,7 @@ from fairchase import (
     SummaryRow,
     SyntheticVenueSpec,
     TargetCell,
+    cdf,
 )
 from fairchase.config import AppConfig
 
@@ -132,3 +135,93 @@ def test_public_class_contract(name):
     if name == "MatchRecord":
         moved = dataclasses.replace(one, venue="Sydney", reduced_overs=True)
         assert moved == MatchRecord("m1", "Sydney", dt.date(2019, 1, 5), 250, 200, Outcome.BAT_FIRST_WIN, True)
+
+
+#: Each constructor's signature, as dataclass(frozen=True) generated it (or,
+#: for MatchRecord, as it was written out). The parameters are the fields.
+SIGNATURES = {
+    "AppConfig": "(data: 'str | None' = None, venues: 'tuple[str, ...] | None' = None, family: 'Family | None' = None, "
+    "target_grid: 'tuple[int, ...]' = (300, 315, 330, 340, 350), min_sample_size: 'int' = 10, "
+    "quantile_cap: 'int' = 2000, format: 'str' = 'csv', seed: 'int' = 0, curve_max_score: 'int' = 600) -> None",
+    "FitConfig": "(min_sample_size: 'int' = 10, quantile_cap: 'int' = 2000) -> None",
+    "NegBinParams": "(n: 'float', p: 'float') -> None",
+    "NormalParams": "(mu: 'float', sigma: 'float') -> None",
+    "LogisticParams": "(mu: 'float', s: 'float') -> None",
+    "FittedDist": "(params: 'Params', sample_size: 'int' = 0, log_likelihood: 'float' = 0.0, "
+    "degenerate: 'bool' = False) -> None",
+    "MatchRecord": "(match_id, venue, date, first_innings_runs, second_innings_runs, outcome, reduced_overs)",
+    "SummaryRow": "(venue: 'str', total_matches: 'int', pct_bat_first_win: 'float', avg_bat_first_win: 'float', "
+    "avg_bat_second_lose: 'float', pct_bat_second_win: 'float', avg_bat_second_win: 'float', "
+    "avg_bat_first_lose: 'float') -> None",
+    "RevisionModel": "(venue: 'str', win_ratio: 'float', dist_bat_first_win: 'FittedDist', "
+    "dist_bat_second_win: 'FittedDist', quantile_cap: 'int') -> None",
+    "TargetCell": "(venue: 'str', family: 'Family', actual: 'int', revised: 'int | None', q_internal: 'float | None', "
+    "status: 'str') -> None",
+    "RevisionReport": "(families: 'tuple[Family, ...]', target_grid: 'tuple[int, ...]', "
+    "cells: 'tuple[TargetCell, ...]') -> None",
+    "SimResult": "(venue: 'str', actual_target: 'int', revised_target: 'int', win_ratio: 'float', "
+    "est_first_exceed: 'float', se_first_exceed: 'float', est_second_exceed: 'float', se_second_exceed: 'float', "
+    "trials: 'int') -> None",
+    "SyntheticVenueSpec": "(venue: 'str', bat_first_wins: 'int', bat_second_wins: 'int', "
+    "case_dists: 'Mapping[CaseLabel, FittedDist]') -> None",
+}
+
+#: The classes without a docstring, whose __doc__ is their name and signature.
+GENERATED_DOCS = ("NormalParams", "LogisticParams", "MatchRecord", "RevisionReport")
+
+METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    one = CASES[name][0]()
+    before = repr(one)
+    for field in dataclasses.fields(one):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field.name}'$"):
+            setattr(one, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{field.name}'$"):
+            delattr(one, field.name)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+        one.extra = 1
+    assert repr(one) == before and not hasattr(one, "extra")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fields_signature_and_doc(name):
+    cls = type(CASES[name][0]())
+    signature = inspect.signature(cls)
+    assert str(signature) == SIGNATURES[name]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == tuple(signature.parameters) == cls.__match_args__
+    if name in GENERATED_DOCS:
+        assert cls.__doc__ == name + SIGNATURES[name].removesuffix(" -> None")
+    else:
+        assert cls.__doc__ and not cls.__doc__.startswith(f"{name}(")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_hash_is_the_hash_of_the_field_tuple(name):
+    one = CASES[name][0]()
+    values = tuple(getattr(one, f.name) for f in dataclasses.fields(one))
+    if name == "SyntheticVenueSpec":
+        with pytest.raises(TypeError, match="^unhashable type: 'dict'$"):
+            hash(values)
+    else:
+        assert hash(one) == hash(values)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_no_method_is_generated_at_import(name):
+    """No method of the class is compiled from a string as the package is imported."""
+    cls = type(CASES[name][0]())
+    codes = {m: getattr(getattr(cls, m), "__code__", None) for m in METHODS}
+    assert [m for m, code in codes.items() if code is not None and code.co_filename == "<string>"] == []
+
+
+def test_a_filled_table_leaves_the_params_value_alone():
+    """The negbin table cached on NegBinParams is kept outside its fields."""
+    grown, fresh = NegBinParams(8.0, 0.04), NegBinParams(8.0, 0.04)
+    cdf(FittedDist(grown), 3000)
+    assert "_nb_cache" in vars(grown) and "_nb_cache" not in vars(fresh)
+    assert grown == fresh and hash(grown) == hash(fresh) == hash((8.0, 0.04))
+    assert repr(grown) == repr(fresh) == "NegBinParams(n=8.0, p=0.04)"
+    assert dataclasses.asdict(grown) == dataclasses.asdict(fresh) == {"n": 8.0, "p": 0.04}

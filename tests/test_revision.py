@@ -164,6 +164,11 @@ class TestBuildModel:
         with pytest.raises(InvalidParams, match=r"quantile cap must lie in \[0, 9223372036854775807\]"):
             RevisionModel("x", 1.5, WIN_DIST, WIN_DIST, quantile_cap=cap)
 
+    @pytest.mark.parametrize("cap", [150.5, 150.0, True, "300"], ids=["float", "integral-float", "bool", "str"])
+    def test_cap_that_is_not_an_integer_rejected(self, cap):
+        with pytest.raises(InvalidParams, match=f"^quantile cap must be an integer, got {type(cap).__name__}$"):
+            RevisionModel("x", 1.5, WIN_DIST, WIN_DIST, quantile_cap=cap)
+
     @pytest.mark.parametrize("cap", [0, 2**63 - 1, 2000])
     def test_cap_inside_the_score_range_accepted(self, cap):
         assert RevisionModel("x", 1.5, WIN_DIST, WIN_DIST, quantile_cap=cap).quantile_cap == cap
