@@ -26,19 +26,11 @@ LOW_TARGET_WARNING_THRESHOLD = 300
 
 @_frozen
 class AppConfig:
-    """The resolved settings: one field per SETTINGS key, each checked by its parser."""
+    """The resolved settings: one field per SETTINGS key, each checked by its parser.
 
-    data: str | None = None
-    venues: tuple[str, ...] | None = None
-    #: None until a flag or the config file chooses one: report then covers
-    #: all three families, and every other command fits fit_family.
-    family: Family | None = None
-    target_grid: tuple[int, ...] = DEFAULT_TARGET_GRID
-    min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
-    quantile_cap: int = DEFAULT_QUANTILE_CAP
-    format: str = "csv"
-    seed: int = DEFAULT_SEED
-    curve_max_score: int = DEFAULT_CURVE_MAX_SCORE
+    family is None until a flag or the config file chooses one: report then
+    covers all three families, and every other command fits fit_family.
+    """
 
     def __init__(self, data: str | None = None, venues: tuple[str, ...] | None = None, family: Family | None = None,
                  target_grid: tuple[int, ...] = DEFAULT_TARGET_GRID, min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE,

@@ -65,8 +65,6 @@ class NegBinParams:
     """
 
     family: ClassVar[Family] = Family.NEGBIN
-    n: float
-    p: float
 
     def __init__(self, n: float, p: float):
         if not (math.isfinite(n) and n > 0):
@@ -122,8 +120,6 @@ class _Continuous:
 @_frozen
 class NormalParams(_Continuous):
     family: ClassVar[Family] = Family.NORMAL
-    mu: float
-    sigma: float
 
     def __init__(self, mu: float, sigma: float):
         if not (math.isfinite(sigma) and sigma > 0):
@@ -151,8 +147,6 @@ class NormalParams(_Continuous):
 @_frozen
 class LogisticParams(_Continuous):
     family: ClassVar[Family] = Family.LOGISTIC
-    mu: float
-    s: float
 
     def __init__(self, mu: float, s: float):
         if not (math.isfinite(s) and s > 0):
@@ -195,18 +189,19 @@ class FittedDist:
     not be trusted. The family is the params class's.
     """
 
-    params: Params
-    sample_size: int = 0
-    log_likelihood: float = 0.0
-    degenerate: bool = False
-
     def __init__(self, params: Params, sample_size: int = 0, log_likelihood: float = 0.0, degenerate: bool = False):
         if not isinstance(params, Params):
             raise InvalidParams(f"params of no family: {type(params).__name__}")
+        if isinstance(log_likelihood, bool) or not isinstance(log_likelihood, (int, float)):
+            raise InvalidParams(f"log_likelihood must be a number, got {log_likelihood!r}")
         if not math.isfinite(log_likelihood):
             raise InvalidParams("log_likelihood must be finite")
+        if isinstance(sample_size, bool) or not isinstance(sample_size, int):  # as JSON carries it: not a numpy integer
+            raise InvalidParams(f"sample_size must be an integer, got {sample_size!r}")
         if sample_size < 0:
             raise InvalidParams("sample_size must be non-negative")
+        if not isinstance(degenerate, bool):
+            raise InvalidParams(f"degenerate must be True or False, got {degenerate!r}")
         object.__setattr__(self, "__dict__", {
             "params": params, "sample_size": sample_size, "log_likelihood": log_likelihood, "degenerate": degenerate,
         })
@@ -242,12 +237,10 @@ class FitConfig:
     """The fit settings a caller chooses: the smallest case sample a fit
     accepts, and the ceiling for discrete quantiles."""
 
-    min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE
-    quantile_cap: int = DEFAULT_QUANTILE_CAP
-
     def __init__(self, min_sample_size: int = DEFAULT_MIN_SAMPLE_SIZE, quantile_cap: int = DEFAULT_QUANTILE_CAP):
-        if not _is_integer(quantile_cap):
-            raise FairchaseError(f"quantile_cap must be an integer, got {type(quantile_cap).__name__}")
+        for name, value in (("min_sample_size", min_sample_size), ("quantile_cap", quantile_cap)):
+            if not _is_integer(value):
+                raise FairchaseError(f"{name} must be an integer, got {type(value).__name__}")
         object.__setattr__(self, "__dict__", {"min_sample_size": min_sample_size, "quantile_cap": quantile_cap})
         if min_sample_size < 2 or quantile_cap < 1:
             raise FairchaseError(f"need min_sample_size >= 2 and quantile_cap >= 1, got {self}")
@@ -645,23 +638,18 @@ def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
 
 
 def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
-    """Inverse of fitted_to_dict; checks field types and re-validates parameter invariants."""
+    """Inverse of fitted_to_dict; checks the labels' and params' types, and FittedDist checks its own fields."""
     try:
         params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
-        size, loglik = doc["sample_size"], doc["log_likelihood"]
-        degenerate = doc.get("degenerate_flag", False)
         venue, case = doc["venue"], doc["case"]
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise TypeError(f"sample_size must be an integer, got {size!r}")
-        for name, value in [("log_likelihood", loglik), *vars(params).items()]:
+        for name, value in vars(params).items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-        if not isinstance(degenerate, bool):
-            raise TypeError(f"degenerate_flag must be true or false, got {degenerate!r}")
         if not (isinstance(venue, str) and isinstance(case, str)):
             raise TypeError(f"venue and case must be strings, got {venue!r} and {case!r}")
-        return venue, case, FittedDist(params, size, float(loglik), degenerate)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        size, loglik, degenerate = doc["sample_size"], doc["log_likelihood"], doc.get("degenerate_flag", False)
+        return venue, case, FittedDist(params, size, loglik, degenerate)
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParams) as exc:
         raise InvalidParams(f"malformed fitted-distribution document: {exc}") from exc
 
 

@@ -3,7 +3,7 @@ decorator that makes its public classes frozen values."""
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from reprlib import recursive_repr
 
@@ -76,20 +76,28 @@ class DegenerateQuantileWarning(UserWarning):
 
 
 def _frozen(cls: type) -> type:
-    """A frozen value class: the dataclass fields of cls, compared, hashed and
-    printed as a tuple of them, and never assigned or deleted.
+    """A frozen value class whose fields are its constructor's parameters, in
+    order, with their annotations and defaults: compared, hashed and printed
+    as a tuple of them, and never assigned or deleted.
 
     dataclass(frozen=True) would exec an __init__, __eq__, __hash__,
     __setattr__ and __delattr__ for every class as the package is imported;
-    the methods here are written once and read the class's field names. So
-    each class writes its own __init__: it checks its arguments and stores the
-    fields as one assigned __dict__, not one frozen setattr each (records
-    whose __dict__ was updated instead categorized about 15% slower on 3.11).
-    What is kept outside the fields, such as NegBinParams' table cache, is
-    unseen by ==, hash, repr and asdict.
+    the methods here are written once and read the field names. So each class
+    writes its own __init__: it checks its arguments and stores the fields as
+    one assigned __dict__, not one frozen setattr each (records whose __dict__
+    was updated instead categorized about 15% slower on 3.11). The fields are
+    registered with dataclass, after any ClassVar the class body annotates, so
+    fields, asdict, astuple and replace work. What is kept outside the fields,
+    such as NegBinParams' table cache, is unseen by ==, hash, repr and asdict.
     """
+    init = cls.__dict__["__init__"]
+    names = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+    annotations = init.__annotations__
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), **{name: annotations[name] for name in names}}
+    for name, default in zip(reversed(names), reversed(init.__defaults__ or ())):
+        setattr(cls, name, default)
+    annotations["return"] = None  # as dataclass's own __init__ is annotated
     cls = dataclass(cls, init=False, eq=False, repr=False)
-    names = tuple(f.name for f in fields(cls))
     # attrgetter of one name gives the bare value, not a tuple of one
     values = attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
 
@@ -119,6 +127,4 @@ def _frozen(cls: type) -> type:
     for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if cls.__init__.__annotations__:  # the return annotation dataclass's own __init__ carries
-        cls.__init__.__annotations__["return"] = None
     return cls

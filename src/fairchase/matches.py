@@ -65,15 +65,8 @@ class CaseLabel(str, Enum):
 
 @_frozen
 class MatchRecord:
-    match_id: str
-    venue: str
-    date: dt.date | None
-    first_innings_runs: int
-    second_innings_runs: int
-    outcome: Outcome
-    reduced_overs: bool
-
-    def __init__(self, match_id, venue, date, first_innings_runs, second_innings_runs, outcome, reduced_overs):
+    def __init__(self, match_id: str, venue: str, date: dt.date | None, first_innings_runs: int,
+                 second_innings_runs: int, outcome: Outcome, reduced_overs: bool):
         """Check the value rules once, in order, then store the fields."""
         first, second = first_innings_runs, second_innings_runs
         if not match_id:
@@ -111,15 +104,6 @@ CategorizedScores = Mapping[str, Mapping[CaseLabel, tuple[int, ...]]]
 class SummaryRow:
     """One venue line of the summary table. Percentages and averages keep
     full precision; rounding happens only at display time."""
-
-    venue: str
-    total_matches: int
-    pct_bat_first_win: float
-    avg_bat_first_win: float
-    avg_bat_second_lose: float
-    pct_bat_second_win: float
-    avg_bat_second_win: float
-    avg_bat_first_lose: float
 
     def __init__(self, venue: str, total_matches: int, pct_bat_first_win: float, avg_bat_first_win: float,
                  avg_bat_second_lose: float, pct_bat_second_win: float, avg_bat_second_win: float,

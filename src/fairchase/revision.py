@@ -47,12 +47,6 @@ DEFAULT_TARGET_GRID = (300, 315, 330, 340, 350)
 class RevisionModel:
     """Fitted winning-score distributions and win-frequency ratio for one venue."""
 
-    venue: str
-    win_ratio: float
-    dist_bat_first_win: FittedDist
-    dist_bat_second_win: FittedDist
-    quantile_cap: int
-
     def __init__(self, venue: str, win_ratio: float, dist_bat_first_win: FittedDist, dist_bat_second_win: FittedDist,
                  quantile_cap: int):
         if not (math.isfinite(win_ratio) and win_ratio > 0):
@@ -72,15 +66,11 @@ class RevisionModel:
 
 @_frozen
 class TargetCell:
-    """The revised target for one venue, family and actual target."""
+    """The revised target for one venue, family and actual target.
 
-    venue: str
-    family: Family
-    actual: int
-    revised: int | None
-    #: The CDF level the revised target was read off at.
-    q_internal: float | None
-    status: str  # "ok", "unattainable", or "skipped: <reason>"
+    q_internal is the CDF level the revised target was read off at, and
+    status is "ok", "unattainable", or "skipped: <reason>".
+    """
 
     def __init__(self, venue: str, family: Family, actual: int, revised: int | None, q_internal: float | None,
                  status: str):
@@ -182,10 +172,6 @@ def equalization_slack(model: RevisionModel, cells: Sequence[TargetCell]) -> flo
 
 @_frozen
 class RevisionReport:
-    families: tuple[Family, ...]
-    target_grid: tuple[int, ...]
-    cells: tuple[TargetCell, ...]
-
     def __init__(self, families: tuple[Family, ...], target_grid: tuple[int, ...], cells: tuple[TargetCell, ...]):
         object.__setattr__(self, "__dict__", {"families": families, "target_grid": target_grid, "cells": cells})
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .distributions import _SCORE_LIMIT, FittedDist, cdf, quantile
+from .distributions import _SCORE_LIMIT, FittedDist, _is_integer, cdf, quantile
 from .errors import FairchaseError, InconsistentSpec, _frozen
 from .matches import CaseLabel, MatchRecord, Outcome
 from .revision import RevisionModel, revise_target
@@ -45,16 +45,6 @@ def sample_scores(dist: FittedDist, count: int, seed: Seed) -> list[int]:
 class SimResult:
     """Simulated exceedance probabilities on both sides of the equalization
     identity, with binomial standard errors."""
-
-    venue: str
-    actual_target: int
-    revised_target: int
-    win_ratio: float
-    est_first_exceed: float
-    se_first_exceed: float
-    est_second_exceed: float
-    se_second_exceed: float
-    trials: int
 
     def __init__(self, venue: str, actual_target: int, revised_target: int, win_ratio: float, est_first_exceed: float,
                  se_first_exceed: float, est_second_exceed: float, se_second_exceed: float, trials: int):
@@ -112,13 +102,11 @@ class SyntheticVenueSpec:
     batting first and batting second, and a law for each case's scores.
     """
 
-    venue: str
-    bat_first_wins: int
-    bat_second_wins: int
-    case_dists: Mapping[CaseLabel, FittedDist]
-
     def __init__(self, venue: str, bat_first_wins: int, bat_second_wins: int,
                  case_dists: Mapping[CaseLabel, FittedDist]):
+        if not (_is_integer(bat_first_wins) and _is_integer(bat_second_wins)):
+            raise InconsistentSpec(f"venue {venue!r}: match counts must be integers, "
+                                   f"got {bat_first_wins!r} and {bat_second_wins!r}")
         if bat_first_wins < 0 or bat_second_wins < 0:
             raise InconsistentSpec(f"venue {venue!r}: match counts must be non-negative")
         object.__setattr__(self, "__dict__", {

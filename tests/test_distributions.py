@@ -161,6 +161,38 @@ class TestParams:
     def test_fit_config_takes_a_numpy_integer_cap(self):
         assert FitConfig(quantile_cap=np.int64(150)) == FitConfig(quantile_cap=150)
 
+    @pytest.mark.parametrize(
+        "size", [2.5, 3.0, True, "3", None], ids=["float", "integral-float", "bool", "str", "none"]
+    )
+    def test_fit_config_rejects_a_min_sample_size_that_is_not_an_integer(self, size):
+        message = f"^min_sample_size must be an integer, got {type(size).__name__}$"
+        with pytest.raises(FairchaseError, match=message) as info:
+            FitConfig(min_sample_size=size)
+        assert not isinstance(info.value, InvalidParams)
+        assert FitConfig(np.int64(12)) == FitConfig(12)
+
+    @pytest.mark.parametrize(
+        "key, refused, accepted",
+        [
+            ("sample_size", 2.5, 12),
+            ("sample_size", True, 0),
+            ("sample_size", "3", 3),
+            ("sample_size", np.int64(5), 5),
+            ("log_likelihood", True, -3),
+            ("log_likelihood", "-3.5", np.float64(-3.5)),
+            ("log_likelihood", None, -650.5),
+            ("degenerate", 1, True),
+            ("degenerate", np.True_, False),
+        ],
+        ids=["size-float", "size-bool", "size-str", "size-numpy", "loglik-bool", "loglik-str", "loglik-none",
+             "degenerate-int", "degenerate-numpy"],
+    )
+    def test_fitted_refuses_what_its_json_cannot_carry(self, key, refused, accepted):
+        with pytest.raises(InvalidParams, match=f"^{key} must be "):
+            FittedDist(NegBinParams(8.0, 0.04), **{key: refused})
+        entries = [("Sydney", "BatFirstWin", FittedDist(NegBinParams(8.0, 0.04), **{key: accepted}))]
+        assert fitted_from_json(fitted_to_json(entries)) == entries
+
 
 class TestPmf:
     def test_geometric_at_zero(self):

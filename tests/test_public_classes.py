@@ -1,7 +1,8 @@
 """The 13 frozen public classes as the README documents them: equality,
 hashing, repr and a pickle round trip for each, `asdict` on each params
 class and `dataclasses.replace` on a `MatchRecord`; fields that can be
-neither assigned nor deleted; and each constructor's signature.
+neither assigned nor deleted; and each constructor's signature, whose
+parameters are the fields, with their types and defaults.
 
 Each case builds one instance twice and names a second instance that must
 compare unequal to it. The reprs are today's, character for character, so a
@@ -137,8 +138,8 @@ def test_public_class_contract(name):
         assert moved == MatchRecord("m1", "Sydney", dt.date(2019, 1, 5), 250, 200, Outcome.BAT_FIRST_WIN, True)
 
 
-#: Each constructor's signature, as dataclass(frozen=True) generated it (or,
-#: for MatchRecord, as it was written out). The parameters are the fields.
+#: Each constructor's signature, as dataclass(frozen=True) generated it. The
+#: parameters are the fields.
 SIGNATURES = {
     "AppConfig": "(data: 'str | None' = None, venues: 'tuple[str, ...] | None' = None, family: 'Family | None' = None, "
     "target_grid: 'tuple[int, ...]' = (300, 315, 330, 340, 350), min_sample_size: 'int' = 10, "
@@ -149,7 +150,8 @@ SIGNATURES = {
     "LogisticParams": "(mu: 'float', s: 'float') -> None",
     "FittedDist": "(params: 'Params', sample_size: 'int' = 0, log_likelihood: 'float' = 0.0, "
     "degenerate: 'bool' = False) -> None",
-    "MatchRecord": "(match_id, venue, date, first_innings_runs, second_innings_runs, outcome, reduced_overs)",
+    "MatchRecord": "(match_id: 'str', venue: 'str', date: 'dt.date | None', first_innings_runs: 'int', "
+    "second_innings_runs: 'int', outcome: 'Outcome', reduced_overs: 'bool') -> None",
     "SummaryRow": "(venue: 'str', total_matches: 'int', pct_bat_first_win: 'float', avg_bat_first_win: 'float', "
     "avg_bat_second_lose: 'float', pct_bat_second_win: 'float', avg_bat_second_win: 'float', "
     "avg_bat_first_lose: 'float') -> None",
@@ -164,6 +166,53 @@ SIGNATURES = {
     "trials: 'int') -> None",
     "SyntheticVenueSpec": "(venue: 'str', bat_first_wins: 'int', bat_second_wins: 'int', "
     "case_dists: 'Mapping[CaseLabel, FittedDist]') -> None",
+}
+
+#: Each class's dataclass fields as (name, type, default); M marks a field without a default.
+M = dataclasses.MISSING
+FIELDS = {
+    "AppConfig": (
+        ("data", "str | None", None), ("venues", "tuple[str, ...] | None", None), ("family", "Family | None", None),
+        ("target_grid", "tuple[int, ...]", (300, 315, 330, 340, 350)), ("min_sample_size", "int", 10),
+        ("quantile_cap", "int", 2000), ("format", "str", "csv"), ("seed", "int", 0), ("curve_max_score", "int", 600),
+    ),
+    "FitConfig": (("min_sample_size", "int", 10), ("quantile_cap", "int", 2000)),
+    "NegBinParams": (("n", "float", M), ("p", "float", M)),
+    "NormalParams": (("mu", "float", M), ("sigma", "float", M)),
+    "LogisticParams": (("mu", "float", M), ("s", "float", M)),
+    "FittedDist": (
+        ("params", "Params", M), ("sample_size", "int", 0), ("log_likelihood", "float", 0.0), ("degenerate", "bool", False),
+    ),
+    "MatchRecord": (
+        ("match_id", "str", M), ("venue", "str", M), ("date", "dt.date | None", M), ("first_innings_runs", "int", M),
+        ("second_innings_runs", "int", M), ("outcome", "Outcome", M), ("reduced_overs", "bool", M),
+    ),
+    "SummaryRow": (
+        ("venue", "str", M), ("total_matches", "int", M), ("pct_bat_first_win", "float", M),
+        ("avg_bat_first_win", "float", M), ("avg_bat_second_lose", "float", M), ("pct_bat_second_win", "float", M),
+        ("avg_bat_second_win", "float", M), ("avg_bat_first_lose", "float", M),
+    ),
+    "RevisionModel": (
+        ("venue", "str", M), ("win_ratio", "float", M), ("dist_bat_first_win", "FittedDist", M),
+        ("dist_bat_second_win", "FittedDist", M), ("quantile_cap", "int", M),
+    ),
+    "TargetCell": (
+        ("venue", "str", M), ("family", "Family", M), ("actual", "int", M), ("revised", "int | None", M),
+        ("q_internal", "float | None", M), ("status", "str", M),
+    ),
+    "RevisionReport": (
+        ("families", "tuple[Family, ...]", M), ("target_grid", "tuple[int, ...]", M),
+        ("cells", "tuple[TargetCell, ...]", M),
+    ),
+    "SimResult": (
+        ("venue", "str", M), ("actual_target", "int", M), ("revised_target", "int", M), ("win_ratio", "float", M),
+        ("est_first_exceed", "float", M), ("se_first_exceed", "float", M), ("est_second_exceed", "float", M),
+        ("se_second_exceed", "float", M), ("trials", "int", M),
+    ),
+    "SyntheticVenueSpec": (
+        ("venue", "str", M), ("bat_first_wins", "int", M), ("bat_second_wins", "int", M),
+        ("case_dists", "Mapping[CaseLabel, FittedDist]", M),
+    ),
 }
 
 #: The classes without a docstring, whose __doc__ is their name and signature.
@@ -192,6 +241,7 @@ def test_fields_signature_and_doc(name):
     signature = inspect.signature(cls)
     assert str(signature) == SIGNATURES[name]
     assert tuple(f.name for f in dataclasses.fields(cls)) == tuple(signature.parameters) == cls.__match_args__
+    assert tuple((f.name, f.type, f.default) for f in dataclasses.fields(cls)) == FIELDS[name]
     if name in GENERATED_DOCS:
         assert cls.__doc__ == name + SIGNATURES[name].removesuffix(" -> None")
     else:

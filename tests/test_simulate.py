@@ -233,6 +233,16 @@ class TestSyntheticData:
         with pytest.raises(InconsistentSpec, match="match counts must be non-negative"):
             SyntheticVenueSpec(venue="Bad", bat_first_wins=-1, bat_second_wins=0, case_dists={})
 
+    @pytest.mark.parametrize(
+        "count", [2.5, 3.0, True, "3", None], ids=["float", "integral-float", "bool", "str", "none"]
+    )
+    @pytest.mark.parametrize("key", ["bat_first_wins", "bat_second_wins"])
+    def test_count_that_is_not_an_integer_rejected(self, key, count):
+        counts = {"bat_first_wins": 3, "bat_second_wins": 2, key: count}
+        with pytest.raises(InconsistentSpec, match="^venue 'Bad': match counts must be integers, got "):
+            SyntheticVenueSpec(venue="Bad", **counts, case_dists=dict.fromkeys(CaseLabel, WIN))
+        assert spec_for("Alpha", np.int64(3), np.int64(2)) == spec_for("Alpha", 3, 2)
+
     @pytest.mark.parametrize("num_venues, matches_per_venue", [(0, 100), (1, 1)])
     def test_default_spec_rejects_too_few(self, num_venues, matches_per_venue):
         with pytest.raises(FairchaseError, match="need at least one venue and two matches per venue"):
