@@ -56,6 +56,17 @@ class Family(str, Enum):
     LOGISTIC = "logistic"
 
 
+def _finite(name: str, value: object) -> bool:
+    """Whether a number as fitted JSON carries it is finite: InvalidParams for a bool or anything but an
+    int or a float (a numpy float64 is a float, a numpy float32 or integer is not), or an int past floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParams(f"{name} must be a number, got {value!r}")
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise InvalidParams(f"{name} must be finite, got an int past the float range") from None
+
+
 @_frozen
 class NegBinParams:
     """Count-model parameters: dispersion n > 0 and probability 0 < p < 1.
@@ -67,9 +78,9 @@ class NegBinParams:
     family: ClassVar[Family] = Family.NEGBIN
 
     def __init__(self, n: float, p: float):
-        if not (math.isfinite(n) and n > 0):
+        if not (_finite("n", n) and n > 0):
             raise InvalidParams(f"dispersion n must be finite and positive, got {n}")
-        if not (0.0 < p < 1.0):
+        if not (_finite("p", p) and 0.0 < p < 1.0):
             raise InvalidParams(f"probability p must lie in (0, 1), got {p}")
         object.__setattr__(self, "__dict__", {"n": n, "p": p})
 
@@ -122,9 +133,9 @@ class NormalParams(_Continuous):
     family: ClassVar[Family] = Family.NORMAL
 
     def __init__(self, mu: float, sigma: float):
-        if not (math.isfinite(sigma) and sigma > 0):
+        if not (_finite("sigma", sigma) and sigma > 0):
             raise InvalidParams(f"sigma must be finite and positive, got {sigma}")
-        if not math.isfinite(mu):
+        if not _finite("mu", mu):
             raise InvalidParams(f"mu must be finite, got {mu}")
         object.__setattr__(self, "__dict__", {"mu": mu, "sigma": sigma})
 
@@ -149,9 +160,9 @@ class LogisticParams(_Continuous):
     family: ClassVar[Family] = Family.LOGISTIC
 
     def __init__(self, mu: float, s: float):
-        if not (math.isfinite(s) and s > 0):
+        if not (_finite("s", s) and s > 0):
             raise InvalidParams(f"scale s must be finite and positive, got {s}")
-        if not math.isfinite(mu):
+        if not _finite("mu", mu):
             raise InvalidParams(f"mu must be finite, got {mu}")
         object.__setattr__(self, "__dict__", {"mu": mu, "s": s})
 
@@ -192,9 +203,7 @@ class FittedDist:
     def __init__(self, params: Params, sample_size: int = 0, log_likelihood: float = 0.0, degenerate: bool = False):
         if not isinstance(params, Params):
             raise InvalidParams(f"params of no family: {type(params).__name__}")
-        if isinstance(log_likelihood, bool) or not isinstance(log_likelihood, (int, float)):
-            raise InvalidParams(f"log_likelihood must be a number, got {log_likelihood!r}")
-        if not math.isfinite(log_likelihood):
+        if not _finite("log_likelihood", log_likelihood):
             raise InvalidParams("log_likelihood must be finite")
         if isinstance(sample_size, bool) or not isinstance(sample_size, int):  # as JSON carries it: not a numpy integer
             raise InvalidParams(f"sample_size must be an integer, got {sample_size!r}")
@@ -483,7 +492,9 @@ class _NbProfile:
     Since Sum_j A_j = Sum_i x_i, each log(n + j) is taken relative to
     n + mean, which keeps the large parts of the sum from cancelling. What
     depends on the sample alone is built once per fit, with a scratch row the
-    score evaluates into, so one profile serves one fit at a time.
+    score evaluates into, so one profile serves one fit at a time; it keeps
+    each score it computed by n, since the root search starts at grid points
+    the walk visited.
     """
 
     def __init__(self, tails: np.ndarray, size: int, xbar: float):
@@ -493,6 +504,7 @@ class _NbProfile:
         self.log_factorials = tails @ np.log1p(self.j)
         self.mean_term = size * xbar * math.log(xbar)
         self.row = np.empty(tails.size)
+        self.scores: dict[float, float] = {}
 
     def loglik(self, n: float) -> float:
         """Log-likelihood at dispersion n."""
@@ -500,10 +512,21 @@ class _NbProfile:
         spread = np.log1p(ratios, out=ratios) @ self.tails
         return float(spread - self.log_factorials - self.size * n * np.log1p(self.xbar / n) + self.mean_term)
 
+    def _score(self, n: float) -> tuple[float, np.ndarray]:
+        row = np.divide(1.0, np.add(n, self.j, out=self.row), out=self.row)
+        return float(self.tails @ row) - self.size * math.log1p(self.xbar / n), row
+
     def score(self, n: float) -> float:
         """Derivative in n of the log-likelihood: Sum_j A_j/(n + j) - N log(1 + mean/n)."""
-        row = np.divide(1.0, np.add(n, self.j, out=self.row), out=self.row)
-        return float(self.tails @ row) - self.size * math.log1p(self.xbar / n)
+        if n not in self.scores:
+            self.scores[n] = self._score(n)[0]
+        return self.scores[n]
+
+    def score_and_slope(self, n: float) -> tuple[float, float]:
+        """The score and its derivative in n, N mean/(n(n + mean)) - Sum_j A_j/(n + j)**2,
+        which is minus the observed information I(n) (Piegorsch 1990)."""
+        score, row = self._score(n)
+        return score, self.size * self.xbar / (n * (n + self.xbar)) - float(self.tails @ np.square(row, out=row))
 
 
 def _nb_refine(lo: float, hi: float, profile: _NbProfile, tol: float) -> float:
@@ -511,35 +534,40 @@ def _nb_refine(lo: float, hi: float, profile: _NbProfile, tol: float) -> float:
 
     On an overdispersed sample the score has a single root (Aragon, Eberly &
     Eberly 1992), positive below it and negative above. Without a sign
-    change the maximum sits at the end the score points to; otherwise false
-    position on log(n) closes in on the root, with a bisection step whenever
-    a step fails to halve the bracket.
+    change the maximum sits at the end the score points to; otherwise a false
+    position step across the bracket starts Newton's method on t = log(n),
+    whose slope n dS/dn is in closed form. A bisection step replaces any
+    Newton step that would leave the bracket, fail to halve the step before,
+    or come from a slope that is not negative; Newton stops once its step is
+    within tol.
     """
-
-    def score(t: float) -> float:
-        return profile.score(math.exp(t))
-
-    lo, hi = math.log(lo), math.log(hi)
-    f_lo, f_hi = score(lo), score(hi)
+    f_lo, f_hi = profile.score(lo), profile.score(hi)
     if f_lo <= 0.0:
-        return math.exp(lo)
+        return lo
     if f_hi >= 0.0:
-        return math.exp(hi)
-    halve = False
-    while hi - lo > tol:
-        width = hi - lo
-        t = hi - f_hi * width / (f_hi - f_lo)
-        if halve or not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        f = score(t)
+        return hi
+    lo, hi = math.log(lo), math.log(hi)
+    t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    step = hi - lo
+    while True:
+        n = math.exp(t)
+        f, slope = profile.score_and_slope(n)
         if f > 0.0:
-            lo, f_lo = t, f
+            lo = t
         elif f < 0.0:
-            hi, f_hi = t, f
+            hi = t
         else:
-            return math.exp(t)
-        halve = hi - lo > 0.5 * width
-    return math.exp(0.5 * (lo + hi))
+            return n
+        last, step = step, -f / (n * slope) if slope < 0.0 else math.inf
+        if lo < t + step < hi and abs(step) <= 0.5 * abs(last):
+            t += step
+            if abs(step) <= tol:
+                return math.exp(t)
+        else:
+            step = 0.5 * (lo + hi) - t
+            t += step
+            if hi - lo <= tol:
+                return math.exp(t)
 
 
 def fit_nb(scores: Sequence[int], config: FitConfig = DEFAULT_FIT_CONFIG) -> FittedDist:
@@ -638,18 +666,15 @@ def fitted_to_dict(dist: FittedDist, venue: str, case: str) -> dict:
 
 
 def fitted_from_dict(doc: dict) -> tuple[str, str, FittedDist]:
-    """Inverse of fitted_to_dict; checks the labels' and params' types, and FittedDist checks its own fields."""
+    """Inverse of fitted_to_dict; checks the labels' types, and the params and FittedDist check their own fields."""
     try:
         params = _PARAMS_BY_FAMILY[Family(doc["family"])](**doc["params"])
         venue, case = doc["venue"], doc["case"]
-        for name, value in vars(params).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
         if not (isinstance(venue, str) and isinstance(case, str)):
             raise TypeError(f"venue and case must be strings, got {venue!r} and {case!r}")
         size, loglik, degenerate = doc["sample_size"], doc["log_likelihood"], doc.get("degenerate_flag", False)
         return venue, case, FittedDist(params, size, loglik, degenerate)
-    except (KeyError, TypeError, ValueError, OverflowError, InvalidParams) as exc:
+    except (KeyError, TypeError, ValueError, InvalidParams) as exc:
         raise InvalidParams(f"malformed fitted-distribution document: {exc}") from exc
 
 

@@ -490,7 +490,10 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["degenerate"] is True
-        assert err == "warning: an estimate landed on the boundary; its standard error is degenerate\n"
+        assert err == (
+            "warning: quantile at probability 1 is unbounded; returning cap 2000\n"
+            "warning: an estimate landed on the boundary; its standard error is degenerate\n"
+        )
 
     def test_seed_changes_estimates(self, cli, data_csv):
         base = ("simulate", "--data", data_csv, "--venue", "venue01", "--target", "330", "--trials", "5000")

@@ -7,6 +7,7 @@ CDF scans for quantiles.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import pickle
@@ -53,8 +54,10 @@ from fairchase import (
 from fairchase.revision import pmf_mass
 
 SMALL = FitConfig(min_sample_size=2)
+EPS = float(np.finfo(float).eps)
 
 GOLDEN_MATCHES = Path(__file__).resolve().parent / "golden" / "matches.csv"
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
 GEOMETRIC = FittedDist.negbin(1.0, 0.5)
 
@@ -181,17 +184,49 @@ class TestParams:
             ("log_likelihood", True, -3),
             ("log_likelihood", "-3.5", np.float64(-3.5)),
             ("log_likelihood", None, -650.5),
+            ("log_likelihood", 10**400, -650),
+            ("log_likelihood", -(10**400), -650),
             ("degenerate", 1, True),
             ("degenerate", np.True_, False),
         ],
         ids=["size-float", "size-bool", "size-str", "size-numpy", "loglik-bool", "loglik-str", "loglik-none",
-             "degenerate-int", "degenerate-numpy"],
+             "loglik-past-floats", "loglik-past-floats-below", "degenerate-int", "degenerate-numpy"],
     )
     def test_fitted_refuses_what_its_json_cannot_carry(self, key, refused, accepted):
         with pytest.raises(InvalidParams, match=f"^{key} must be "):
             FittedDist(NegBinParams(8.0, 0.04), **{key: refused})
         entries = [("Sydney", "BatFirstWin", FittedDist(NegBinParams(8.0, 0.04), **{key: accepted}))]
         assert fitted_from_json(fitted_to_json(entries)) == entries
+
+
+    #: Each numeric params field, as (class, the other fields' values, field name).
+    PARAMS_FIELDS = [
+        (NegBinParams, {"p": 0.04}, "n"),
+        (NegBinParams, {"n": 8.0}, "p"),
+        (NormalParams, {"sigma": 40.0}, "mu"),
+        (NormalParams, {"mu": 200.0}, "sigma"),
+        (LogisticParams, {"s": 20.0}, "mu"),
+        (LogisticParams, {"mu": 200.0}, "s"),
+    ]
+
+    @pytest.mark.parametrize("cls, others, field", PARAMS_FIELDS, ids=[f"{c.__name__}-{f}" for c, _, f in PARAMS_FIELDS])
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "3", None, [0.5], np.float32(0.5), np.int64(3), 10**400, -(10**400), 10**5000],
+        ids=["true", "false", "str", "none", "list", "float32", "int64", "past-floats", "past-floats-below", "past-str"],
+    )
+    def test_params_refuse_what_fitted_json_cannot_carry(self, cls, others, field, value):
+        with pytest.raises(InvalidParams, match=f"^{field} must be "):
+            cls(**others, **{field: value})
+
+    @pytest.mark.parametrize("cls, others, field", PARAMS_FIELDS, ids=[f"{c.__name__}-{f}" for c, _, f in PARAMS_FIELDS])
+    def test_params_take_ints_and_floats(self, cls, others, field):
+        """An int stays an int, and a numpy float64 is a float: each builds and round-trips through JSON."""
+        for value in ((1 if field != "p" else 0.5), np.float64(0.25), 0.25):
+            params = cls(**others, **{field: value})
+            assert getattr(params, field) is value
+            entries = [("Sydney", "BatFirstWin", FittedDist(params))]
+            assert fitted_from_json(fitted_to_json(entries)) == entries
 
 
 class TestPmf:
@@ -799,7 +834,12 @@ def _reference_score(n, tails, size, xbar):
     return float(tails @ (1.0 / (n + j))) - size * math.log1p(xbar / n)
 
 
-def _reference_refine(lo, hi, tails, size, xbar, tol):
+def _reference_slope(n, tails, size, xbar):
+    row = 1.0 / (n + np.arange(tails.size, dtype=float))
+    return size * xbar / (n * (n + xbar)) - float(tails @ (row * row))
+
+
+def _false_position_refine(lo, hi, tails, size, xbar, tol):
     """False position on log(n) with a bisection safeguard, as in 0.17.0."""
 
     def score(t):
@@ -828,10 +868,42 @@ def _reference_refine(lo, hi, tails, size, xbar, tol):
     return math.exp(0.5 * (lo + hi))
 
 
-def _reference_fit_nb(scores):
-    """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb, or None for a
-    sample whose variance does not exceed its mean. Tail counts, mean and
-    variance are computed here as 0.17.0 computed them, not by the library."""
+def _reference_refine(lo, hi, tails, size, xbar, tol):
+    """Newton on log(n) from a false position start, with bisection steps, as in 0.24.0."""
+    f_lo, f_hi = _reference_score(lo, tails, size, xbar), _reference_score(hi, tails, size, xbar)
+    if f_lo <= 0.0:
+        return lo
+    if f_hi >= 0.0:
+        return hi
+    lo, hi = math.log(lo), math.log(hi)
+    t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    step = hi - lo
+    while True:
+        n = math.exp(t)
+        f, slope = _reference_score(n, tails, size, xbar), _reference_slope(n, tails, size, xbar)
+        if f > 0.0:
+            lo = t
+        elif f < 0.0:
+            hi = t
+        else:
+            return n
+        last, step = step, -f / (n * slope) if slope < 0.0 else math.inf
+        if lo < t + step < hi and abs(step) <= 0.5 * abs(last):
+            t += step
+            if abs(step) <= tol:
+                return math.exp(t)
+        else:
+            step = 0.5 * (lo + hi) - t
+            t += step
+            if hi - lo <= tol:
+                return math.exp(t)
+
+
+def _reference_fit_nb(scores, refine=_reference_refine):
+    """(n, p, log_likelihood, degenerate) from 0.17.0's fit_nb with 0.24.0's
+    refine (or the one given), or None for a sample whose variance does not
+    exceed its mean. Tail counts, mean and variance are computed here as
+    0.17.0 computed them, not by the library."""
     xs = np.asarray(scores, dtype=float)
     tails = (xs.size - np.cumsum(np.bincount(xs.astype(np.int64)))[:-1]).astype(float)
     size, xbar, var = int(xs.size), float(xs.mean()), float(xs.var(ddof=1))
@@ -846,7 +918,7 @@ def _reference_fit_nb(scores):
     flat = values >= best - 1e-9 * max(1.0, abs(best))
     i = int(np.nonzero(flat)[0][0])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    n_hat = _reference_refine(lo, hi, tails, size, xbar, distributions._N_REL_TOL)
+    n_hat = refine(lo, hi, tails, size, xbar, distributions._N_REL_TOL)
     ll = float(_reference_loglik(n_hat, tails, size, xbar))
     if ll < best:
         n_hat = float(grid[i])
@@ -889,9 +961,10 @@ def _assert_fit_bits(scores):
 class TestFitNbBits:
     """fit_nb's n, p, log-likelihood and degenerate flag are held, bit for bit,
     to a copy of the 0.17.0 computation from its tail counts, mean and
-    variance on, for a sample in every container the library accepts: a
-    change to how the fit reads its sample or evaluates its likelihood and
-    score may save time but may not move a bit."""
+    variance on, with 0.24.0's Newton refine in place of false position, for
+    a sample in every container the library accepts: a change to how the fit
+    reads its sample or evaluates its likelihood and score may save time but
+    may not move a bit."""
 
     @pytest.mark.parametrize("scores", _golden_cases())
     def test_every_golden_case(self, scores):
@@ -973,6 +1046,78 @@ class TestFitNbBits:
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 8
         assert all(results[i] == [alone[k] for k in order] for i, order in orders.items())
+
+
+def _benchmark_fit_samples() -> list[list[int]]:
+    """Every case of the golden data and of the benchmark's paper_dataset(5)
+    and thin_venues_dataset seeds 101, 102 and 701 (50 venues each)."""
+    spec = importlib.util.spec_from_file_location("_bench_inputs", BENCH_INPUTS)
+    inputs = sys.modules["_bench_inputs"] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(inputs)
+        datasets = [inputs.paper_dataset(5)] + [inputs.thin_venues_dataset(seed, 50) for seed in (101, 102, 701)]
+    finally:
+        del sys.modules["_bench_inputs"]
+    golden = categorize(parse_matches(GOLDEN_MATCHES))
+    samples = [list(scores) for cases in golden.values() for scores in cases.values()]
+    for dataset in datasets:
+        samples += [xs.tolist() for cases in dataset.samples.values() for xs in cases.values()]
+    return samples
+
+
+class TestNewtonRefine:
+    """The dispersion's Newton refine finds the root false position found
+    (0.17.0 to 0.23.0), to the fit's tolerance, in fewer score evaluations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=450), min_size=2, max_size=120))
+    @example([0, 1, 3, 0, 1, 1, 0, 0, 0, 1, 1, 1, 3, 1, 1, 0, 0, 0, 2, 4, 1, 0, 1, 0, 5, 2])
+    @example([0] * 1500 + [400])
+    @example([6, 6, 6, 3, 10, 8, 7, 13, 5])
+    def test_root_agrees_with_false_position(self, scores):
+        xs = np.asarray(scores)
+        assume(xs.var(ddof=1) > xs.mean())
+        n, _, _, degenerate = _reference_fit_nb(scores, _false_position_refine)
+        fitted = fit_nb(scores, SMALL)
+        profile = distributions._NbProfile(distributions._tail_counts(xs), int(xs.size), float(xs.mean()))
+        slope = fitted.params.n * profile.score_and_slope(fitted.params.n)[1]
+        # Where the score's roundoff over its slope in log(n) passes about 1e-9 (near-Poisson samples, n past
+        # about 2e4), float arithmetic does not fix the root to the tolerance: both refines land within that
+        # roundoff of a 50-digit root, not within the tolerance of each other.
+        assume(EPS * xs.size * math.log1p(profile.xbar / fitted.params.n) < 1e-10 * -slope)
+        assert abs(math.log(fitted.params.n) - math.log(n)) <= distributions._N_REL_TOL
+        assert fitted.degenerate == degenerate
+
+    def test_benchmark_fits_agree_with_false_position(self, monkeypatch):
+        """On 596 fits: n within tolerance of the false-position root, the
+        same degenerate flag (set on one of them), and at most 9 score
+        evaluations per fit, where false position took about 21."""
+        evaluations = []
+        score = distributions._NbProfile._score
+        monkeypatch.setattr(distributions._NbProfile, "_score", lambda *args: evaluations.append(1) or score(*args))
+        fits, flagged = 0, 0
+        for scores in _benchmark_fit_samples():
+            expected = _reference_fit_nb(scores, _false_position_refine) if len(scores) >= 10 else None
+            if expected is None:
+                with pytest.raises((InsufficientSample, UnderdispersedSample)):
+                    fit_nb(scores)
+                continue
+            fitted = fit_nb(scores)
+            assert abs(math.log(fitted.params.n) - math.log(expected[0])) <= distributions._N_REL_TOL
+            assert fitted.degenerate == expected[3]
+            fits, flagged = fits + 1, flagged + fitted.degenerate
+        assert (fits, flagged) == (596, 1)
+        assert len(evaluations) <= 9 * fits
+
+    @pytest.mark.parametrize("n", [0.05, 0.5, 2.0, 8.0, 30.0, 120.0])
+    @pytest.mark.parametrize("scores", [seeded_nb_sample(8.0, 0.04, 200, seed=2), seeded_nb_sample(1.5, 0.1, 60, seed=4)])
+    def test_slope_is_the_central_difference_of_the_score(self, scores, n):
+        xs = np.asarray(scores)
+        profile = distributions._NbProfile(distributions._tail_counts(xs), int(xs.size), float(xs.mean()))
+        score, slope = profile.score_and_slope(n)
+        h = 1e-5 * n
+        assert score == profile.score(n)
+        assert slope == pytest.approx((profile.score(n + h) - profile.score(n - h)) / (2 * h), rel=1e-6)
 
 
 class TestMomentFits:
