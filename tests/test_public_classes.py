@@ -275,3 +275,21 @@ def test_a_filled_table_leaves_the_params_value_alone():
     assert grown == fresh and hash(grown) == hash(fresh) == hash((8.0, 0.04))
     assert repr(grown) == repr(fresh) == "NegBinParams(n=8.0, p=0.04)"
     assert dataclasses.asdict(grown) == dataclasses.asdict(fresh) == {"n": 8.0, "p": 0.04}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_a_subclass_instance_keeps_its_fields_frozen(name):
+    """On an instance of a plain subclass, a name that is not a field can be
+    set and deleted; a field still raises FrozenInstanceError."""
+    one = CASES[name][0]()
+    fields = dataclasses.fields(one)
+    sub = type(f"Sub{name}", (type(one),), {})(*(getattr(one, f.name) for f in fields))
+    sub.extra = 1
+    assert sub.extra == 1 and repr(sub) == f"Sub{repr(one)}"
+    del sub.extra
+    assert not hasattr(sub, "extra")
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field.name}'$"):
+            setattr(sub, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{field.name}'$"):
+            delattr(sub, field.name)
