@@ -198,7 +198,6 @@ class TestParams:
         entries = [("Sydney", "BatFirstWin", FittedDist(NegBinParams(8.0, 0.04), **{key: accepted}))]
         assert fitted_from_json(fitted_to_json(entries)) == entries
 
-
     #: Each numeric params field, as (class, the other fields' values, field name).
     PARAMS_FIELDS = [
         (NegBinParams, {"p": 0.04}, "n"),
